@@ -14,6 +14,7 @@ import io
 import json
 import math
 import time
+import zlib
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -115,7 +116,8 @@ def _hopeless_restart_probe(p: float, n_stages: int, length: int, budget_s: floa
 
 def run_failure_rate_cell(spec: ExperimentSpec, p: float, length: int,
                           strategy: Strategy) -> RunRecord:
-    cell_seed = (spec.seed * 1_000_003 + hash((round(p, 8), length, strategy.value))) & 0x7FFFFFFF
+    cell_key = zlib.crc32(f"{round(p, 8)!r}|{length}|{strategy.value}".encode())
+    cell_seed = (spec.seed * 1_000_003 + cell_key) & 0x7FFFFFFF
     profile = NetProfile(spec.bandwidth_bps, spec.rtt_ms, p)
     model = ModelConfig(seed=spec.seed,
                         max_seq_len=max(2048, length + spec.prefix_len))

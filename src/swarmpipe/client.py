@@ -19,7 +19,7 @@ differences are cost and failure behavior, which the counters expose.
 from __future__ import annotations
 
 import enum
-from collections import deque
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,12 +144,10 @@ class _Stage:
     def server_id(self) -> str:
         return self.hop.server_id
 
-    def history_matrix(self, d: int) -> np.ndarray | None:
-        chunks = [it.rows.reshape(-1, d) for it in self.history if it.kind == "rows"
-                  and it.rows is not None]
-        if not chunks:
-            return None
-        return np.concatenate(chunks, axis=0)
+    def record(self, rows: np.ndarray | None, width: int, n_new: int) -> None:
+        self.history.append(_HistoryItem(
+            "rows", width, n_new,
+            rows.reshape(width, n_new, -1).copy() if rows is not None else None))
 
     def lineage_matrix(self, d: int, final_width: int) -> np.ndarray | None:
         """Per-slot input sequences after composing beam reorders: the exact
@@ -166,7 +164,7 @@ class _Stage:
                     continue
                 for s in range(final_width):
                     collected[s].append(it.rows[anc[s]])
-        if timed:
+        if timed or not collected[0]:
             return None
         slots = [np.concatenate(list(reversed(ch)), axis=0) for ch in collected]
         return np.stack(slots)
@@ -204,7 +202,7 @@ class SwarmClient:
         self.max_reroutes = max_reroutes
         self.cache_overhead_s = cache_overhead_s
         self._sid_counter = 0
-        self._sid_base = (M._splitmix64(hash(name) & 0xFFFFFFFF, 1)[0].item() << 64)
+        self._sid_base = M._splitmix64(zlib.crc32(name.encode()), 1)[0].item() << 64
         self.inbox = _Inbox()
         net.register(name, self.inbox)
 
@@ -286,13 +284,52 @@ class SwarmClient:
         # the first stage receives client-computed embeddings, also exact
         return quantized and hop.start > 0
 
-    def _open_stage(self, hop: Hop, width: int, quantized: bool,
-                    relay_next: str = "", client_addr: str = "") -> _Stage:
-        stage = _Stage(hop, self._new_sid())
-        self._call_stage(stage, OpenSession(hop.start, hop.end, width,
-                                            self._reply_quantized(hop, quantized),
-                                            relay_next=relay_next, client_addr=client_addr))
+    def _ban(self, server_id: str) -> None:
+        self.bans.ban(server_id)
+        self.graph.apply_update("ban", server_id)
+
+    def _open_session(self, stage: _Stage, width: int, quantized: bool,
+                      relay_next: str | None = None) -> _Stage:
+        """Open a fresh session for ``stage``; ``relay_next`` (the next hop,
+        "" at the end of the chain) makes it a relay session."""
+        stage.session_id = self._new_sid()
+        self._call_stage(stage, OpenSession(
+            stage.hop.start, stage.hop.end, width, self._reply_quantized(stage.hop, quantized),
+            relay_next=relay_next or "", client_addr="" if relay_next is None else self.name))
         return stage
+
+    def _rebuild(self, stage: _Stage, width: int, quantized: bool, counters: RunCounters,
+                 want_outputs: bool = False, relay_next: str | None = None):
+        """Open a fresh session for ``stage`` and replay its history there."""
+        hist = stage.lineage_matrix(self.config.hidden_dim, width)
+        self._open_session(stage, width, quantized, relay_next)
+        return self._restore_stage(stage, hist, stage.rows_sent, width, quantized,
+                                   counters, want_outputs)
+
+    def _open_chain(self, quantized: bool, deadline: float | None,
+                    relay: bool = False) -> tuple[Chain, list[_Stage]]:
+        """Route a full chain and open width-1 sessions along it; an open
+        failure costs a ban and a fresh route."""
+        while True:
+            chain = self._route_chain(0, self.config.n_blocks, deadline)
+            nexts = [h.server_id for h in chain.hops[1:]] + [""]
+            try:
+                return chain, [self._open_session(_Stage(hop, 0), 1, quantized,
+                                                  nxt if relay else None)
+                               for hop, nxt in zip(chain.hops, nexts)]
+            except _StageFailure as f:
+                if f.ban:
+                    self._ban(f.server_id)
+
+    def _start_run(self, prefix: list[int], n_new: int, deadline_s: float | None):
+        """Argument check shared by every generation entry point."""
+        if not prefix:
+            raise ConfigurationError("prefix must be non-empty")
+        if len(prefix) + n_new > self.config.max_seq_len:
+            raise CapacityError("prefix + n_new exceeds max_seq_len")
+        started = self.clock.now
+        deadline = started + deadline_s if deadline_s is not None else None
+        return started, deadline, RunCounters()
 
     def _close_stages(self, stages: list[_Stage]) -> None:
         for s in stages:
@@ -316,9 +353,7 @@ class SwarmClient:
         counters.messages += 1
         counters.step_activation_bytes += width * n_new * self.config.hidden_dim * 4
         if record_history:
-            stage.history.append(_HistoryItem(
-                "rows", width, n_new,
-                rows.reshape(width, n_new, -1).copy() if rows is not None else None))
+            stage.record(rows, width, n_new)
         stage.rows_sent += n_new
         return self._result_rows(res, width, n_new)
 
@@ -343,17 +378,10 @@ class SwarmClient:
         """Ban the failed server, route replacements for its blocks, and
         rebuild their state from the client-side cache."""
         failed = stages[idx]
-        self.bans.ban(failed.server_id)
-        self.graph.apply_update("ban", failed.server_id)
+        self._ban(failed.server_id)
         counters.recoveries += 1
-        d = self.config.hidden_dim
-
-        if width == 1:
-            hist = failed.history_matrix(d)
-            t = failed.rows_sent
-        else:
-            hist = failed.lineage_matrix(d, width)
-            t = failed.rows_sent
+        hist = failed.lineage_matrix(self.config.hidden_dim, width)
+        t = failed.rows_sent
 
         for _ in range(self.max_reroutes):
             self._check_deadline(deadline)
@@ -361,26 +389,18 @@ class SwarmClient:
             seg = self._route_chain(failed.hop.start, failed.hop.end, deadline)
             try:
                 new_stages: list[_Stage] = []
-                inputs = hist          # [t, d] or [width, t, d] or None (timed)
+                inputs = hist          # [width, t, d] or None (timed)
                 for n, hop in enumerate(seg.hops):
-                    is_last = n == len(seg.hops) - 1
-                    stage = self._open_stage(hop, width, quantized)
-                    out = self._restore_stage(
-                        stage, inputs, t, width, quantized, counters,
-                        want_outputs=not is_last and t > 0)
+                    stage = _Stage(hop, 0, rows_sent=t)
                     if t > 0:
-                        stage.history = [_HistoryItem(
-                            "rows", width, t,
-                            np.asarray(inputs).reshape(width, t, d).copy()
-                            if inputs is not None else None)]
+                        stage.record(inputs, width, t)
+                    inputs = self._rebuild(stage, width, quantized, counters,
+                                           want_outputs=n < len(seg.hops) - 1 and t > 0)
                     new_stages.append(stage)
-                    if not is_last:
-                        inputs = out
                 return new_stages
             except _StageFailure as f2:
                 if f2.ban:
-                    self.bans.ban(f2.server_id)
-                    self.graph.apply_update("ban", f2.server_id)
+                    self._ban(f2.server_id)
         raise SwarmUnavailableError("replacements kept failing")
 
     def _run_chain_step(self, stages: list[_Stage], rows, width: int, n_new: int,
@@ -405,7 +425,7 @@ class SwarmClient:
                     # session lapsed or desynced on a live server: rebuild there
                     counters.recoveries += 1
                     try:
-                        self._reopen_in_place(stage, width, quantized, counters)
+                        self._rebuild(stage, width, quantized, counters)
                         continue
                     except _StageFailure:
                         pass
@@ -413,18 +433,6 @@ class SwarmClient:
                     stages, idx, width, quantized, counters, deadline)
                 stages[idx:idx + 1] = replacements
         return current
-
-    def _reopen_in_place(self, stage: _Stage, width: int, quantized: bool,
-                         counters: RunCounters) -> None:
-        d = self.config.hidden_dim
-        hist = (stage.history_matrix(d) if width == 1
-                else stage.lineage_matrix(d, width))
-        t = stage.rows_sent
-        stage.session_id = self._new_sid()
-        self._call_stage(stage, OpenSession(stage.hop.start, stage.hop.end,
-                                            width, quantized))
-        self._restore_stage(stage, hist, t, width, quantized, counters,
-                            want_outputs=False)
 
     # -- public API -------------------------------------------------------------
 
@@ -441,13 +449,7 @@ class SwarmClient:
         while the model's own picks are still recorded in the result; this is
         the matched-context evaluation used to quantify codec effects without
         divergence amplification."""
-        if not prefix:
-            raise ConfigurationError("prefix must be non-empty")
-        if len(prefix) + n_new > self.config.max_seq_len:
-            raise CapacityError("prefix + n_new exceeds max_seq_len")
-        started = self.clock.now
-        deadline = started + deadline_s if deadline_s is not None else None
-        counters = RunCounters()
+        started, deadline, counters = self._start_run(prefix, n_new, deadline_s)
         if n_new == 0:
             return GenerateResult(list(prefix), counters, 0.0)
         if teacher_tokens is not None and strategy != Strategy.DUAL_CACHE:
@@ -477,18 +479,7 @@ class SwarmClient:
     def _generate_dual(self, prefix, n_new, mode, sample_seed, top_k, quantized,
                        counters, deadline, dual: bool = True,
                        teacher_tokens: list[int] | None = None) -> list[int]:
-        chain = self._route_chain(0, self.config.n_blocks, deadline)
-        stages = []
-        # open sessions; an open failure costs a ban and a fresh route
-        while True:
-            try:
-                stages = [self._open_stage(h, 1, quantized) for h in chain.hops]
-                break
-            except _StageFailure as f:
-                if f.ban:
-                    self.bans.ban(f.server_id)
-                    self.graph.apply_update("ban", f.server_id)
-                chain = self._route_chain(0, self.config.n_blocks, deadline)
+        _, stages = self._open_chain(quantized, deadline)
         rng = self._token_rng(sample_seed)
         tokens = list(prefix)
         rows = self.engine.embed_array(prefix)
@@ -523,8 +514,7 @@ class SwarmClient:
                 attempts += 1
                 counters.restarts = attempts
                 if f.ban:
-                    self.bans.ban(f.server_id)
-                    self.graph.apply_update("ban", f.server_id)
+                    self._ban(f.server_id)
                 if progress_probe is not None:
                     elapsed = self.clock.now - started
                     remaining = None if deadline is None else deadline - self.clock.now
@@ -567,8 +557,7 @@ class SwarmClient:
                             except MessageDropped:
                                 counters.retries += 1   # same server, same req_id
                             except ConnectionFailed:
-                                self.bans.ban(hop.server_id)
-                                self.graph.apply_update("ban", hop.server_id)
+                                self._ban(hop.server_id)
                                 raise _StageFailure(hop.server_id, True, "offline")
                         counters.messages += 1
                         counters.step_activation_bytes += t * self.config.hidden_dim * 4
@@ -598,24 +587,8 @@ class SwarmClient:
             raise ConfigurationError("beam width must be >= 1")
         if not isinstance(self.engine, RealClientEngine):
             raise ConfigurationError("beam search needs the real client engine")
-        if not prefix:
-            raise ConfigurationError("prefix must be non-empty")
-        if len(prefix) + n_new > self.config.max_seq_len:
-            raise CapacityError("prefix + n_new exceeds max_seq_len")
-        started = self.clock.now
-        deadline = started + deadline_s if deadline_s is not None else None
-        counters = RunCounters()
-
-        chain = self._route_chain(0, self.config.n_blocks, deadline)
-        while True:
-            try:
-                stages = [self._open_stage(h, 1, quantized) for h in chain.hops]
-                break
-            except _StageFailure as f:
-                if f.ban:
-                    self.bans.ban(f.server_id)
-                    self.graph.apply_update("ban", f.server_id)
-                chain = self._route_chain(0, self.config.n_blocks, deadline)
+        started, deadline, counters = self._start_run(prefix, n_new, deadline_s)
+        _, stages = self._open_chain(quantized, deadline)
 
         width = 1
         rows = self.engine.embed_array(prefix).reshape(1, -1, self.config.hidden_dim)
@@ -671,27 +644,8 @@ class SwarmClient:
         """Direct server-to-server relay: each stage forwards activations to
         both the client and the next hop. Falls back to client-routed sends
         for the remainder of a step when a relay link fails."""
-        if not prefix:
-            raise ConfigurationError("prefix must be non-empty")
-        started = self.clock.now
-        deadline = started + deadline_s if deadline_s is not None else None
-        counters = RunCounters()
-        chain = self._route_chain(0, self.config.n_blocks, deadline)
-        while True:
-            try:
-                stages = []
-                for n, hop in enumerate(chain.hops):
-                    relay_next = (chain.hops[n + 1].server_id
-                                  if n + 1 < len(chain.hops) else "")
-                    stages.append(self._open_stage(hop, 1, False,
-                                                   relay_next=relay_next,
-                                                   client_addr=self.name))
-                break
-            except _StageFailure as f:
-                if f.ban:
-                    self.bans.ban(f.server_id)
-                    self.graph.apply_update("ban", f.server_id)
-                chain = self._route_chain(0, self.config.n_blocks, deadline)
+        started, deadline, counters = self._start_run(prefix, n_new, deadline_s)
+        chain, stages = self._open_chain(False, deadline, relay=True)
         rng = self._token_rng(sample_seed)
         tokens = list(prefix)
         rows = self.engine.embed_array(prefix).reshape(1, -1, self.config.hidden_dim)
@@ -741,9 +695,7 @@ class SwarmClient:
                 self._rewire_relay(stages, counters, deadline)
                 return out
             results[i] = res.blob.array()
-            stage.history.append(_HistoryItem(
-                "rows", 1, n_in,
-                (rows if i == 0 else results[i - 1].reshape(1, n_in, -1)).copy()))
+            stage.record(rows if i == 0 else results[i - 1], 1, n_in)
             stage.rows_sent += n_in
         return results[-1].reshape(1, n_in, -1)
 
@@ -751,28 +703,16 @@ class SwarmClient:
                       deadline) -> None:
         """After replacements, re-open sessions so relay_next pointers follow
         the current chain order, preserving positions via restore."""
-        d = self.config.hidden_dim
         for _ in range(self.max_reroutes):
             self._check_deadline(deadline)
-            n = 0
+            nexts = [s.server_id for s in stages[1:]] + [""]
             try:
-                while n < len(stages):
-                    stage = stages[n]
-                    relay_next = stages[n + 1].server_id if n + 1 < len(stages) else ""
-                    hist = stage.history_matrix(d)
-                    t = stage.rows_sent
-                    stage.session_id = self._new_sid()
-                    self._call_stage(stage, OpenSession(
-                        stage.hop.start, stage.hop.end, 1, False,
-                        relay_next=relay_next, client_addr=self.name))
-                    self._restore_stage(stage, hist, t, 1, False, counters,
-                                        want_outputs=False)
-                    n += 1
+                for n, (stage, nxt) in enumerate(zip(stages, nexts)):
+                    self._rebuild(stage, 1, False, counters, relay_next=nxt)
                 return
-            except _StageFailure as f:
-                replacements = self._replace_failed_stage(stages, n, 1, False,
-                                                          counters, deadline)
-                stages[n:n + 1] = replacements
+            except _StageFailure:
+                stages[n:n + 1] = self._replace_failed_stage(stages, n, 1, False,
+                                                             counters, deadline)
                 # chain membership changed: rewire from the top
         raise SwarmUnavailableError("relay rewiring kept failing")
 
@@ -838,8 +778,7 @@ class FinetuneSession:
                 self.counters.repeats += 1
                 sid = getattr(e, "server_id", None)
                 if sid and getattr(e, "ban", True):
-                    self.client.bans.ban(sid)
-                    self.client.graph.apply_update("ban", sid)
+                    self.client._ban(sid)
         raise SwarmUnavailableError("fine-tune pass kept failing")
 
     def _one_pass(self, batch_tokens: np.ndarray, labels: np.ndarray, req_id: int):

@@ -101,10 +101,6 @@ class VirtualClock:
     def next_event_time(self) -> float | None:
         return self._agenda[0][0] if self._agenda else None
 
-    def drain(self, until: float) -> None:
-        """Run all agenda work up to ``until`` (used by timer-only scenarios)."""
-        self.advance_to(until)
-
 
 class SimulatedCrash(Exception):
     """Raised by a handler's failure-injection hook: the server dies mid-request."""

@@ -15,9 +15,9 @@ import time
 
 from .directory import DirectoryBoard, DirectoryHandler, ServerInfo
 from .errors import ConnectionFailed, MessageDropped, ProtocolError, Unreachable
-from .netsim import NetProfile
+from .netsim import HandlerContext, NetProfile
 from .wire import (Announce, HEADER_LEN, Ping, Pong, TRAILER_LEN, WireMessage,
-                   decode_frame, encode_frame)
+                   decode_frame, encode_frame, framed_nbytes)
 
 RTT_SMOOTH_ALPHA = 0.5
 
@@ -60,21 +60,9 @@ def _recv_frame(conn: socket.socket) -> WireMessage:
     return msg
 
 
-class _HandlerCtx:
-    def __init__(self, net: "RealNetwork", src: str, dst: str):
-        self.net = net
-        self.src = src
-        self.dst = dst
-
-    @property
-    def now(self) -> float:
-        return self.net.clock.now
-
+class _HandlerCtx(HandlerContext):
     def consume(self, seconds: float) -> None:
         pass   # real compute spends real time
-
-    def post(self, dst: str, msg: WireMessage) -> bool:
-        return self.net.post(self.dst, dst, msg)
 
 
 class RealNetwork:
@@ -124,27 +112,16 @@ class RealNetwork:
         return conn
 
     def rpc(self, src: str, dst: str, msg: WireMessage) -> WireMessage:
-        conn = self._connect(dst)
-        try:
+        with self._connect(dst) as conn:
             conn.sendall(encode_frame(msg))
             try:
                 return _recv_frame(conn)
             except socket.timeout as e:
                 raise MessageDropped(f"no reply from {dst}") from e
-            except ProtocolError:
-                raise
-        finally:
-            conn.close()
 
     def post(self, src: str, dst: str, msg: WireMessage) -> bool:
-        try:
-            conn = self._connect(dst)
-        except ConnectionFailed:
-            raise
-        try:
+        with self._connect(dst) as conn:
             conn.sendall(encode_frame(msg))
-        finally:
-            conn.close()
         return True
 
     def ping(self, src: str, dst: str, deadline_s: float = 5.0) -> float:
@@ -201,19 +178,24 @@ class _Listener:
 
     def _serve_conn(self, conn: socket.socket) -> None:
         conn.settimeout(self.net.timeout_s)
-        try:
+        with conn:
             while not self._stop.is_set():
                 try:
                     msg = _recv_frame(conn)
-                except (ConnectionFailed, socket.timeout, ProtocolError):
-                    return   # bad or closed stream: drop the connection
+                except (ConnectionFailed, ProtocolError, OSError):
+                    return   # bad, closed or reset stream: drop the connection
                 with self._lock:
                     reply = self.handler.handle(msg, _HandlerCtx(self.net, "peer", self.name))
+                frame = b""
                 if reply is not None:
                     reply.session_id = msg.session_id
-                    conn.sendall(encode_frame(reply))
-        finally:
-            conn.close()
+                    frame = encode_frame(reply)
+                with self._lock:
+                    self.bytes_seen += framed_nbytes(msg) + len(frame)
+                try:
+                    conn.sendall(frame)
+                except OSError:
+                    return   # the peer reset or went away before the reply
 
 
 class DirectoryClient:

@@ -49,6 +49,31 @@ def stage_intervals(n_blocks: int, n_stages: int) -> list[tuple[int, int]]:
     return out
 
 
+def _build(model: ModelConfig, profile: NetProfile, seed: int, engine: str,
+           entries: list[dict], trace: bool = False) -> SimSwarm:
+    """The one build loop: a directory, then each server entry in order
+    (``ServerCfg`` fields plus ``churn``, ``drop_override`` and ``balancer``),
+    registered and announcing."""
+    net = SimNetwork(seed=seed, default_profile=profile, trace=trace)
+    board = DirectoryBoard(model.n_blocks, lambda: net.clock.now)
+    net.register("directory", DirectoryHandler(board))
+    shared_blocks = init_model(model)[0] if engine == "real" else None
+
+    servers: dict[str, BlockServer] = {}
+    for entry in entries:
+        churn = entry.pop("churn", None)
+        drop_override = entry.pop("drop_override", None)
+        balancer = entry.pop("balancer", False)
+        cfg = ServerCfg(**entry)
+        eng = (RealServerEngine(model, shared_blocks) if engine == "real"
+               else TimedServerEngine(model))
+        srv = servers[cfg.server_id] = BlockServer(cfg, eng, net, board)
+        net.register(cfg.server_id, srv, churn=churn, drop_override=drop_override)
+        srv.start_timers(balancer=balancer)
+    net.clock.advance(0.1)   # let the initial announcements land
+    return SimSwarm(net, board, servers, model, engine)
+
+
 def build_sim_swarm(model: ModelConfig | None = None,
                     n_stages: int = 4,
                     replicas: int = 2,
@@ -63,35 +88,15 @@ def build_sim_swarm(model: ModelConfig | None = None,
     """Stand up a simulated swarm: one directory plus ``replicas`` servers per
     pipeline stage, all announced and ready to serve."""
     model = model or ModelConfig()
-    profile = profile or NetProfile()
-    net = SimNetwork(seed=seed, default_profile=profile, trace=trace)
-    board = DirectoryBoard(model.n_blocks, lambda: net.clock.now)
-    net.register("directory", DirectoryHandler(board))
-
-    if engine == "real":
-        shared_blocks = init_model(model)[0]
-        def make_engine():
-            return RealServerEngine(model, shared_blocks)
-    else:
-        def make_engine():
-            return TimedServerEngine(model)
-
-    servers: dict[str, BlockServer] = {}
-    overrides = server_overrides or {}
+    entries = []
     for si, (a, b) in enumerate(stage_intervals(model.n_blocks, n_stages)):
         for r in range(replicas):
             sid = f"s{si}{chr(ord('a') + r)}"
-            kw = {"server_id": sid, "capacity": b - a, "start": a,
-                  "compute_tokens_per_s": compute_tokens_per_s}
-            kw.update(overrides.get(sid, {}))
-            drop_override = kw.pop("drop_override", None)
-            srv = BlockServer(ServerCfg(**kw), make_engine(), net, board)
-            servers[sid] = srv
-            net.register(sid, srv, churn=(churn or {}).get(sid),
-                         drop_override=drop_override)
-            srv.start_timers(balancer=balancer)
-    net.clock.advance(0.1)   # let the initial announcements land
-    return SimSwarm(net, board, servers, model, engine)
+            entries.append({"server_id": sid, "capacity": b - a, "start": a,
+                            "compute_tokens_per_s": compute_tokens_per_s,
+                            "churn": (churn or {}).get(sid), "balancer": balancer,
+                            **(server_overrides or {}).get(sid, {})})
+    return _build(model, profile or NetProfile(), seed, engine, entries, trace)
 
 
 def build_swarm_from_config(config: dict | str) -> SimSwarm:
@@ -101,30 +106,14 @@ def build_swarm_from_config(config: dict | str) -> SimSwarm:
     if isinstance(config, str):
         with open(config) as f:
             config = json.load(f)
-    model = ModelConfig(**config.get("model", {}))
-    profile = NetProfile(**config.get("profile", {}))
-    seed = config.get("seed", 0)
-    engine = config.get("engine", "real")
-    net = SimNetwork(seed=seed, default_profile=profile)
-    board = DirectoryBoard(model.n_blocks, lambda: net.clock.now)
-    net.register("directory", DirectoryHandler(board))
-    shared_blocks = init_model(model)[0] if engine == "real" else None
-
-    servers: dict[str, BlockServer] = {}
+    entries = []
     for entry in config["servers"]:
         entry = dict(entry)
-        churn = (ChurnSchedule([tuple(iv) for iv in entry.pop("churn")])
-                 if "churn" in entry else None)
-        drop_override = entry.pop("drop_override", None)
-        balancer = entry.pop("balancer", config.get("balancer", False))
+        if "churn" in entry:
+            entry["churn"] = ChurnSchedule([tuple(iv) for iv in entry["churn"]])
         if "rebalance" in entry:
             entry["rebalance"] = RebalanceConfig(**entry["rebalance"])
-        cfg = ServerCfg(**entry)
-        eng = (RealServerEngine(model, shared_blocks) if engine == "real"
-               else TimedServerEngine(model))
-        srv = BlockServer(cfg, eng, net, board)
-        servers[cfg.server_id] = srv
-        net.register(cfg.server_id, srv, churn=churn, drop_override=drop_override)
-        srv.start_timers(balancer=balancer)
-    net.clock.advance(0.1)
-    return SimSwarm(net, board, servers, model, engine)
+        entries.append({"balancer": config.get("balancer", False), **entry})
+    return _build(ModelConfig(**config.get("model", {})),
+                  NetProfile(**config.get("profile", {})),
+                  config.get("seed", 0), config.get("engine", "real"), entries)

@@ -1,6 +1,10 @@
 """Benchmark harness: estimator values, record plumbing, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +57,24 @@ class TestFailureRateCells:
         a = run_failure_rate_cell(spec, 1e-3, 128, Strategy.DUAL_CACHE)
         b = run_failure_rate_cell(spec, 1e-3, 128, Strategy.DUAL_CACHE)
         assert a.row() == b.row()
+
+    def test_same_cell_same_bytes_across_processes(self, tmp_path):
+        """Cell seeds and session ids do not depend on Python's salted hash()."""
+        code = ("import sys\n"
+                "from swarmpipe.bench import ExperimentSpec, run_failure_rate_cell, write_records\n"
+                "from swarmpipe.client import Strategy\n"
+                "rec = run_failure_rate_cell(ExperimentSpec('failure-rate', engine='timed'),\n"
+                "                            1e-2, 128, Strategy.DUAL_CACHE)\n"
+                "write_records([rec], sys.argv[1])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        files = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hash{hash_seed}.jsonl"
+            subprocess.run([sys.executable, "-c", code, str(out)], check=True, timeout=120,
+                           env=dict(env, PYTHONHASHSEED=hash_seed))
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
 
 
 @pytest.fixture(scope="module")

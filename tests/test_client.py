@@ -8,6 +8,7 @@ from swarmpipe.errors import SwarmUnavailableError
 from swarmpipe.model import ModelConfig, reference_generate
 from swarmpipe.netsim import ChurnSchedule, NetProfile
 from swarmpipe.swarm import build_sim_swarm
+from swarmpipe.wire import OpenSession
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,24 @@ class TestQuantizedMode:
         quant.client().generate([1] * 8, 64, quantized=True)
         q_bytes = quant.net.total_bytes()
         assert q_bytes < 0.6 * raw_bytes   # headers keep it just above half
+
+    def test_reopened_final_stage_stays_exact(self, cfg):
+        """Sessions on the last stage lapse between steps and are reopened in
+        place; every open there keeps the client's head input unquantized."""
+        swarm = build_sim_swarm(cfg, replicas=1, seed=0,
+                                server_overrides={"s3a": {"session_ttl_s": 0.01}})
+        srv = swarm.servers["s3a"]
+        handle, flags = srv.handle, []
+
+        def spy(msg, ctx):
+            if isinstance(msg.payload, OpenSession):
+                flags.append(msg.payload.quantized)
+            return handle(msg, ctx)
+
+        srv.handle = spy
+        res = swarm.client().generate([5, 6, 7], 16, quantized=True)
+        assert res.counters.recoveries > 0
+        assert len(flags) > 1 and not any(flags)
 
     def test_quantized_recovery_still_terminates(self, cfg):
         swarm = build_sim_swarm(cfg, seed=2, profile=NetProfile(failure_prob=0.01))

@@ -1,6 +1,7 @@
 """Real TCP transport smoke tests (loopback)."""
 
 import socket
+import struct
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ from swarmpipe.model import ModelConfig, init_model, reference_generate
 from swarmpipe.realnet import DirectoryClient, RealNetwork
 from swarmpipe.server import BlockServer, RealServerEngine, ServerCfg
 from swarmpipe.swarm import stage_intervals
-from swarmpipe.wire import Ping, WireMessage, encode_frame
+from swarmpipe.wire import Ping, Pong, WireMessage, encode_frame, framed_nbytes
 
 
 @pytest.fixture()
@@ -87,3 +88,24 @@ def test_corrupt_frame_rejected_by_peer(tcp_swarm):
         except socket.timeout:
             got = b""
         assert got == b""
+
+
+def test_total_bytes_counts_request_and_reply(tcp_swarm):
+    cfg, net = tcp_swarm
+    before = net.total_bytes()
+    net.ping("cli", "s0")
+    assert net.total_bytes() - before == (framed_nbytes(WireMessage(Ping()))
+                                          + framed_nbytes(WireMessage(Pong()))) == 74
+
+
+def test_peer_reset_closes_the_stream_quietly(tcp_swarm):
+    """A peer that resets mid-frame ends its connection; the listener thread
+    raises nothing (the suite turns thread exceptions into errors) and keeps
+    serving."""
+    cfg, net = tcp_swarm
+    raw = encode_frame(WireMessage(Ping(), 5))
+    with socket.create_connection(net._addrs["s0"], timeout=2.0) as conn:
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        conn.sendall(raw[:10])
+    time.sleep(0.2)
+    assert net.ping("cli", "s0") > 0

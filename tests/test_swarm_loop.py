@@ -1,13 +1,14 @@
 """Live swarm behavior: announce timers, balancer loop, config files."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from swarmpipe.balancer import swarm_throughput
 from swarmpipe.directory import TTL_S
 from swarmpipe.model import ModelConfig, reference_generate
-from swarmpipe.netsim import ChurnSchedule
+from swarmpipe.netsim import ChurnSchedule, NetProfile
 from swarmpipe.swarm import build_sim_swarm, build_swarm_from_config
 
 
@@ -81,3 +82,25 @@ def test_build_from_config_file(tmp_path, cfg):
     assert res.tokens == reference_generate(ModelConfig(seed=1), [2, 7], 12)
     assert {r.server_id for r in swarm.board.snapshot()} == {"a", "b"}
     assert swarm.board.get("a").throughput == pytest.approx(80.0)
+
+
+def test_config_builder_matches_sim_builder(cfg):
+    """The config loader, fed the layout build_sim_swarm lays out, builds the
+    same swarm: same tokens, counters, virtual time and bytes."""
+    sim = build_sim_swarm(cfg, seed=3, profile=NetProfile(failure_prob=1e-2))
+    config = {
+        "model": asdict(cfg),
+        "profile": {"failure_prob": 1e-2},
+        "seed": 3,
+        "servers": [{"server_id": s.server_id, "capacity": s.cfg.capacity,
+                     "start": s.cfg.start,
+                     "compute_tokens_per_s": s.cfg.compute_tokens_per_s}
+                    for s in sim.servers.values()],
+    }
+    loaded = build_swarm_from_config(json.loads(json.dumps(config)))
+    a = sim.client().generate([5, 6, 7], 48)
+    b = loaded.client().generate([5, 6, 7], 48)
+    assert a.counters.recoveries > 0
+    assert (a.tokens, a.counters) == (b.tokens, b.counters)
+    assert sim.net.clock.now == loaded.net.clock.now
+    assert sim.net.total_bytes() == loaded.net.total_bytes()
