@@ -174,18 +174,6 @@ class _Stage:
 # the client
 # ---------------------------------------------------------------------------
 
-class _Inbox:
-    """Client endpoint collecting relayed stage results."""
-
-    def __init__(self) -> None:
-        self.results: dict[tuple[int, int], StepResult] = {}
-
-    def handle(self, msg: WireMessage, ctx) -> WireMessage:
-        if isinstance(msg.payload, StepResult):
-            self.results[(msg.session_id, msg.payload.position_offset)] = msg.payload
-        return WireMessage(Close())
-
-
 class SwarmClient:
     def __init__(self, name: str, config: M.ModelConfig, net: SimNetwork,
                  directory: DirectoryBoard, engine=None,
@@ -203,8 +191,6 @@ class SwarmClient:
         self.cache_overhead_s = cache_overhead_s
         self._sid_counter = 0
         self._sid_base = M._splitmix64(zlib.crc32(name.encode()), 1)[0].item() << 64
-        self.inbox = _Inbox()
-        net.register(name, self.inbox)
 
     # -- plumbing -------------------------------------------------------------
 
@@ -288,35 +274,29 @@ class SwarmClient:
         self.bans.ban(server_id)
         self.graph.apply_update("ban", server_id)
 
-    def _open_session(self, stage: _Stage, width: int, quantized: bool,
-                      relay_next: str | None = None) -> _Stage:
-        """Open a fresh session for ``stage``; ``relay_next`` (the next hop,
-        "" at the end of the chain) makes it a relay session."""
+    def _open_session(self, stage: _Stage, width: int, quantized: bool) -> _Stage:
+        """Open a fresh session for ``stage``."""
         stage.session_id = self._new_sid()
         self._call_stage(stage, OpenSession(
-            stage.hop.start, stage.hop.end, width, self._reply_quantized(stage.hop, quantized),
-            relay_next=relay_next or "", client_addr="" if relay_next is None else self.name))
+            stage.hop.start, stage.hop.end, width, self._reply_quantized(stage.hop, quantized)))
         return stage
 
     def _rebuild(self, stage: _Stage, width: int, quantized: bool, counters: RunCounters,
-                 want_outputs: bool = False, relay_next: str | None = None):
+                 want_outputs: bool = False):
         """Open a fresh session for ``stage`` and replay its history there."""
         hist = stage.lineage_matrix(self.config.hidden_dim, width)
-        self._open_session(stage, width, quantized, relay_next)
+        self._open_session(stage, width, quantized)
         return self._restore_stage(stage, hist, stage.rows_sent, width, quantized,
                                    counters, want_outputs)
 
-    def _open_chain(self, quantized: bool, deadline: float | None,
-                    relay: bool = False) -> tuple[Chain, list[_Stage]]:
+    def _open_chain(self, quantized: bool, deadline: float | None) -> list[_Stage]:
         """Route a full chain and open width-1 sessions along it; an open
         failure costs a ban and a fresh route."""
         while True:
             chain = self._route_chain(0, self.config.n_blocks, deadline)
-            nexts = [h.server_id for h in chain.hops[1:]] + [""]
             try:
-                return chain, [self._open_session(_Stage(hop, 0), 1, quantized,
-                                                  nxt if relay else None)
-                               for hop, nxt in zip(chain.hops, nexts)]
+                return [self._open_session(_Stage(hop, 0), 1, quantized)
+                        for hop in chain.hops]
             except _StageFailure as f:
                 if f.ban:
                     self._ban(f.server_id)
@@ -479,7 +459,7 @@ class SwarmClient:
     def _generate_dual(self, prefix, n_new, mode, sample_seed, top_k, quantized,
                        counters, deadline, dual: bool = True,
                        teacher_tokens: list[int] | None = None) -> list[int]:
-        _, stages = self._open_chain(quantized, deadline)
+        stages = self._open_chain(quantized, deadline)
         rng = self._token_rng(sample_seed)
         tokens = list(prefix)
         rows = self.engine.embed_array(prefix)
@@ -588,7 +568,7 @@ class SwarmClient:
         if not isinstance(self.engine, RealClientEngine):
             raise ConfigurationError("beam search needs the real client engine")
         started, deadline, counters = self._start_run(prefix, n_new, deadline_s)
-        _, stages = self._open_chain(quantized, deadline)
+        stages = self._open_chain(quantized, deadline)
 
         width = 1
         rows = self.engine.embed_array(prefix).reshape(1, -1, self.config.hidden_dim)
@@ -635,86 +615,6 @@ class SwarmClient:
                     stages, idx, new_width, quantized, counters, deadline)
                 stages[idx:idx + 1] = replacements
                 idx += 1
-
-    # -- relay mode ---------------------------------------------------------------
-
-    def generate_relay(self, prefix: list[int], n_new: int, mode: str = "greedy",
-                       sample_seed: int | None = None,
-                       deadline_s: float | None = None) -> GenerateResult:
-        """Direct server-to-server relay: each stage forwards activations to
-        both the client and the next hop. Falls back to client-routed sends
-        for the remainder of a step when a relay link fails."""
-        started, deadline, counters = self._start_run(prefix, n_new, deadline_s)
-        chain, stages = self._open_chain(False, deadline, relay=True)
-        rng = self._token_rng(sample_seed)
-        tokens = list(prefix)
-        rows = self.engine.embed_array(prefix).reshape(1, -1, self.config.hidden_dim)
-        n_in = len(prefix)
-        step_budget_s = max(0.5, 8 * chain.cost_ms / 1000.0)
-
-        for _ in range(n_new):
-            out = self._relay_step(stages, rows, n_in, counters, deadline,
-                                   step_budget_s)
-            tok = self.engine.pick(out[0], mode, rng, None)
-            tokens.append(tok)
-            rows = self.engine.embed_array([tok]).reshape(1, 1, -1)
-            n_in = 1
-        self._close_stages(stages)
-        return GenerateResult(tokens, counters, self.clock.now - started)
-
-    def _relay_step(self, stages: list[_Stage], rows: np.ndarray, n_in: int,
-                    counters: RunCounters, deadline, step_budget_s: float) -> np.ndarray:
-        pos = stages[0].rows_sent
-        blob = self._blob_from_rows(rows, 1, n_in, False)
-        try:
-            self.net.post(self.name, stages[0].server_id,
-                          WireMessage(Step(pos, blob, 1, n_in), stages[0].session_id))
-        except ConnectionFailed:
-            pass   # recovered below like any missing result
-        counters.messages += 1
-        counters.step_activation_bytes += n_in * self.config.hidden_dim * 4
-        wait_until = self.clock.now + step_budget_s
-
-        results: list[np.ndarray | None] = [None] * len(stages)
-        for i, stage in enumerate(stages):
-            key = (stage.session_id, pos)
-            while key not in self.inbox.results:
-                nt = self.clock.next_event_time()
-                if nt is None or nt > wait_until:
-                    break
-                self.clock.advance_to(nt)
-            res = self.inbox.results.pop(key, None)
-            if res is None:
-                # relay broke at stage i: finish the step client-routed
-                self.clock.advance_to(wait_until)
-                inputs = rows if i == 0 else results[i - 1].reshape(1, n_in, -1)
-                tail = stages[i:]
-                out = self._run_chain_step(tail, inputs, 1, n_in, False,
-                                           counters, True, deadline)
-                stages[i:] = tail
-                self._rewire_relay(stages, counters, deadline)
-                return out
-            results[i] = res.blob.array()
-            stage.record(rows if i == 0 else results[i - 1], 1, n_in)
-            stage.rows_sent += n_in
-        return results[-1].reshape(1, n_in, -1)
-
-    def _rewire_relay(self, stages: list[_Stage], counters: RunCounters,
-                      deadline) -> None:
-        """After replacements, re-open sessions so relay_next pointers follow
-        the current chain order, preserving positions via restore."""
-        for _ in range(self.max_reroutes):
-            self._check_deadline(deadline)
-            nexts = [s.server_id for s in stages[1:]] + [""]
-            try:
-                for n, (stage, nxt) in enumerate(zip(stages, nexts)):
-                    self._rebuild(stage, 1, False, counters, relay_next=nxt)
-                return
-            except _StageFailure:
-                stages[n:n + 1] = self._replace_failed_stage(stages, n, 1, False,
-                                                             counters, deadline)
-                # chain membership changed: rewire from the top
-        raise SwarmUnavailableError("relay rewiring kept failing")
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,6 @@ class VirtualClock:
     def advance(self, dt: float) -> None:
         self.advance_to(self.now + dt)
 
-    def next_event_time(self) -> float | None:
-        return self._agenda[0][0] if self._agenda else None
-
 
 class SimulatedCrash(Exception):
     """Raised by a handler's failure-injection hook: the server dies mid-request."""
@@ -133,9 +130,6 @@ class HandlerContext:
         """Spend virtual compute time inside the handler."""
         if seconds > 0:
             self.net.clock.advance(seconds)
-
-    def post(self, dst: str, msg: WireMessage) -> bool:
-        return self.net.post(self.dst, dst, msg)
 
 
 @dataclass

@@ -33,9 +33,6 @@ class WallClock:
     def advance_to(self, t: float) -> None:
         time.sleep(max(0.0, t - self.now))
 
-    def next_event_time(self):
-        return None
-
     def schedule(self, t: float, fn) -> None:
         timer = threading.Timer(max(0.0, t - self.now), fn)
         timer.daemon = True

@@ -29,7 +29,7 @@ from .errors import ProtocolError
 from .netsim import HandlerContext, SimNetwork, SimulatedCrash
 from .wire import (Announce, Backward, Close, Error, Forward, HiddenBlob,
                    OpenSession, Ping, Pong, Reorder, Restore, Step, StepResult,
-                   WireMessage, fnv1a64)
+                   WireMessage, fnv1a64)  # noqa: F401  (fnv1a64: tracers patch it here by name)
 
 SESSION_TTL_S = 300.0
 
@@ -138,9 +138,6 @@ class RealServerEngine:
         out = np.concatenate(grads, axis=0)
         return HiddenBlob.from_array(out.reshape(batch * tokens, -1))
 
-    def blob_checksum(self, blob: HiddenBlob) -> int:
-        return fnv1a64(np.ascontiguousarray(blob.array()).tobytes())
-
 
 @dataclass
 class _TimedCaches:
@@ -182,9 +179,6 @@ class TimedServerEngine:
                  record: list) -> HiddenBlob:
         return HiddenBlob.shape_only(batch * tokens, self.config.hidden_dim)
 
-    def blob_checksum(self, blob: HiddenBlob) -> int:
-        return 0
-
 
 def _micro_batches(batch: int, tokens: int, micro_batch_tokens: int):
     """Split sequence indices into chunks of at most micro_batch_tokens total
@@ -209,8 +203,6 @@ class SessionState:
     positions: int
     last_activity: float
     desynced: bool = False
-    relay_next: str = ""
-    client_addr: str = ""
 
 
 MICRO_BATCH_TOKENS = 1024
@@ -378,7 +370,7 @@ class BlockServer:
         self.sessions[sid] = SessionState(
             sid, p.start, p.end, p.width, p.quantized,
             self.engine.make_caches(p.start, p.end, p.width), 0,
-            self.net.clock.now, relay_next=p.relay_next, client_addr=p.client_addr)
+            self.net.clock.now)
         return WireMessage(Pong())
 
     def _step(self, sid: int, p: Step, ctx: HandlerContext) -> WireMessage:
@@ -386,11 +378,7 @@ class BlockServer:
         if s is None:
             return WireMessage(Error("expired", "no such session"))
         if s.desynced:
-            return WireMessage(Error("desync", "relay checksum mismatch"))
-        if p.checksum and self.engine.blob_checksum(p.blob) != p.checksum:
-            # relayed activations disagree with what the sender hashed
-            s.desynced = True
-            return WireMessage(Error("desync", "relay checksum mismatch"))
+            return WireMessage(Error("desync", "cache length diverged"))
         if p.position_offset != s.positions:
             return WireMessage(Error(
                 "desync", f"at position {s.positions}, step claims {p.position_offset}"))
@@ -408,23 +396,7 @@ class BlockServer:
             s.desynced = True
             return WireMessage(Error("desync", "cache length diverged"))
         s.last_activity = self.net.clock.now
-        result = StepResult(p.position_offset, out, p.width, p.n_new)
-        if s.client_addr:
-            # relay mode: outputs go to both the client and the next stage
-            checksum = self.engine.blob_checksum(out)
-            result.checksum = checksum
-            try:
-                ctx.post(s.client_addr, WireMessage(
-                    StepResult(p.position_offset, out, p.width, p.n_new, checksum), sid))
-            except Exception:
-                pass
-            if s.relay_next:
-                try:
-                    ctx.post(s.relay_next, WireMessage(
-                        Step(p.position_offset, out, p.width, p.n_new, checksum), sid))
-                except Exception:
-                    pass   # next hop offline; the client recovers via its timeout
-        return WireMessage(result)
+        return WireMessage(StepResult(p.position_offset, out, p.width, p.n_new))
 
     def _restore(self, sid: int, p: Restore, ctx: HandlerContext) -> WireMessage:
         s = self._session(sid)

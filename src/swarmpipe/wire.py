@@ -143,8 +143,10 @@ class HiddenBlob:
 # payloads
 # ---------------------------------------------------------------------------
 
-_OPEN = struct.Struct("<IIHBQHH")     # start, end, width, flags, client_id, len(relay), len(client_addr)
-_STEP = struct.Struct("<IHHQ")        # position_offset, width, n_new, blob checksum (0 = unset)
+# reserved fields are written as 0 and ignored on decode; they keep every
+# frame the size it had in SWP1 and go with the next magic bump
+_OPEN = struct.Struct("<IIHBQI")      # start, end, width, flags, client_id, reserved
+_STEP = struct.Struct("<IHHQ")        # position_offset, width, n_new, reserved
 _RESTORE = struct.Struct("<IHB")      # t, width, want_outputs
 _FORWARD = struct.Struct("<QBII")     # req_id, flags, batch, tokens
 _BACKWARD = struct.Struct("<QII")     # req_id, batch, tokens
@@ -157,8 +159,6 @@ class OpenSession:
     width: int = 1
     quantized: bool = False
     client_id: int = 0
-    relay_next: str = ""      # server-to-server relay target; "" = client-routed
-    client_addr: str = ""     # where relayed results are posted
 
 
 @dataclass
@@ -167,7 +167,6 @@ class Step:
     blob: HiddenBlob
     width: int = 1
     n_new: int = 1
-    checksum: int = 0         # FNV of the activation content on relayed hops
 
 
 @dataclass
@@ -176,7 +175,6 @@ class StepResult:
     blob: HiddenBlob
     width: int = 1
     n_new: int = 1
-    checksum: int = 0
 
 
 @dataclass
@@ -253,7 +251,7 @@ def kind_of(payload: Payload) -> Kind:
 
 def payload_nbytes(payload: Payload) -> int:
     if isinstance(payload, OpenSession):
-        return _OPEN.size + len(payload.relay_next.encode()) + len(payload.client_addr.encode())
+        return _OPEN.size
     if isinstance(payload, (Step, StepResult)):
         return _STEP.size + payload.blob.nbytes()
     if isinstance(payload, Restore):
@@ -279,14 +277,11 @@ def _canon_json(obj) -> bytes:
 
 def encode_payload(payload: Payload) -> bytes:
     if isinstance(payload, OpenSession):
-        relay = payload.relay_next.encode()
-        caddr = payload.client_addr.encode()
         return _OPEN.pack(payload.start, payload.end, payload.width,
-                          1 if payload.quantized else 0, payload.client_id,
-                          len(relay), len(caddr)) + relay + caddr
+                          1 if payload.quantized else 0, payload.client_id, 0)
     if isinstance(payload, (Step, StepResult)):
         return _STEP.pack(payload.position_offset, payload.width, payload.n_new,
-                          payload.checksum) + payload.blob.encode()
+                          0) + payload.blob.encode()
     if isinstance(payload, Restore):
         return _RESTORE.pack(payload.t, payload.width,
                              1 if payload.want_outputs else 0) + payload.blob.encode()
@@ -309,16 +304,13 @@ def encode_payload(payload: Payload) -> bytes:
 
 def decode_payload(kind: Kind, buf: bytes) -> Payload:
     if kind == Kind.OPEN_SESSION:
-        start, end, width, flags, client_id, n_relay, n_caddr = _OPEN.unpack_from(buf)
-        at = _OPEN.size
-        relay = buf[at:at + n_relay].decode()
-        caddr = buf[at + n_relay:at + n_relay + n_caddr].decode()
-        return OpenSession(start, end, width, bool(flags & 1), client_id, relay, caddr)
+        start, end, width, flags, client_id, _ = _OPEN.unpack_from(buf)
+        return OpenSession(start, end, width, bool(flags & 1), client_id)
     if kind in (Kind.STEP, Kind.STEP_RESULT):
-        pos, width, n_new, checksum = _STEP.unpack_from(buf)
+        pos, width, n_new, _ = _STEP.unpack_from(buf)
         blob, _ = HiddenBlob.decode(buf, _STEP.size)
         cls = Step if kind == Kind.STEP else StepResult
-        return cls(pos, blob, width, n_new, checksum)
+        return cls(pos, blob, width, n_new)
     if kind == Kind.RESTORE:
         t, width, want = _RESTORE.unpack_from(buf)
         blob, _ = HiddenBlob.decode(buf, _RESTORE.size)

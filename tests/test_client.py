@@ -201,31 +201,3 @@ class TestQuantizedMode:
         res = swarm.client().generate([5, 6, 7], 32, quantized=True)
         assert len(res.tokens) == 35
 
-
-class TestRelay:
-    def test_relay_matches_client_routed(self, cfg, oracle64):
-        swarm = build_sim_swarm(cfg, seed=0)
-        res = swarm.client().generate_relay([5, 6, 7], 64)
-        assert res.tokens == oracle64
-
-    @pytest.mark.parametrize("seed", [6, 7, 8])
-    def test_relay_recovers_from_drops(self, cfg, seed):
-        want = reference_generate(cfg, [5, 6, 7], 16)
-        swarm = build_sim_swarm(cfg, seed=seed, profile=NetProfile(failure_prob=0.02))
-        res = swarm.client().generate_relay([5, 6, 7], 16)
-        assert res.tokens == want
-
-    def test_corrupted_relay_checksum_triggers_recovery(self, cfg):
-        want = reference_generate(cfg, [5, 6, 7], 16)
-        swarm = build_sim_swarm(cfg, seed=0)
-        srv = swarm.servers["s0a"]
-        orig = srv.engine.blob_checksum
-        calls = {"n": 0}
-
-        def lying_checksum(blob):
-            calls["n"] += 1
-            return orig(blob) ^ 0xBAD if calls["n"] == 3 else orig(blob)
-
-        srv.engine.blob_checksum = lying_checksum
-        res = swarm.client().generate_relay([5, 6, 7], 16)
-        assert res.tokens == want

@@ -61,8 +61,8 @@ class TestQuantize:
 def _all_kind_messages(rng):
     h = rng.standard_normal((5, 64)).astype(np.float32)
     return [
-        WireMessage(OpenSession(0, 4, 2, True, 7, "s2", "client9"), 3),
-        WireMessage(Step(11, HiddenBlob.from_array(h), 1, 5, checksum=99), 3),
+        WireMessage(OpenSession(0, 4, 2, True, 7), 3),
+        WireMessage(Step(11, HiddenBlob.from_array(h), 1, 5), 3),
         WireMessage(StepResult(11, HiddenBlob.from_array(h, quantized=True), 1, 5), 3),
         WireMessage(Restore(5, HiddenBlob.from_array(h), 1, want_outputs=False), 3),
         WireMessage(Reorder([2, 2, 1, 3, 2])),
@@ -99,11 +99,18 @@ class TestFraming:
         assert np.array_equal(back.payload.blob.array(), h)
         assert back.payload.position_offset == 2
 
-    def test_open_session_strings_survive(self):
-        m = WireMessage(OpenSession(1, 3, 4, False, 9, "next-hop", "client-a"))
+    def test_open_session_fields_survive(self):
+        m = WireMessage(OpenSession(1, 3, 4, True, 9), 5)
         back, _ = decode_frame(encode_frame(m))
-        assert back.payload.relay_next == "next-hop"
-        assert back.payload.client_addr == "client-a"
+        assert back.payload == OpenSession(1, 3, 4, True, 9)
+
+    def test_reserved_fields_keep_frame_sizes(self, rng):
+        """OPEN_SESSION and STEP keep their reserved words, so every simulated
+        byte count stays what it was when those words carried data."""
+        assert len(encode_frame(WireMessage(OpenSession(0, 2)))) == 60
+        h = rng.standard_normal((1, 64)).astype(np.float32)
+        step = WireMessage(Step(0, HiddenBlob.from_array(h), 1, 1), 7)
+        assert len(encode_frame(step)) == framed_nbytes(step) == 318
 
     def test_checksum_mismatch_detected(self, rng):
         raw = bytearray(encode_frame(_all_kind_messages(rng)[1]))
