@@ -75,11 +75,13 @@ class RestartProgress:
 
 
 class _StageFailure(Exception):
-    def __init__(self, server_id: str, ban: bool, reason: str, recover_in_place: bool = False):
+    def __init__(self, server_id: str, ban: bool, reason: str, recover_in_place: bool = False,
+                 dropped: bool = False):
         super().__init__(f"{server_id}: {reason}")
         self.server_id = server_id
         self.ban = ban
         self.recover_in_place = recover_in_place
+        self.dropped = dropped      # a lost message: the server may well be alive
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +220,18 @@ class SwarmClient:
                                       rec.throughput, rtt))
         self.graph.sync(routes)
 
-    def _rpc(self, dest: str, payload, sid: int = 0) -> WireMessage:
-        return self.net.rpc(self.name, dest, WireMessage(payload, sid))
-
     def _call_stage(self, stage: _Stage, payload):
         """One stage RPC with failures mapped to _StageFailure."""
         try:
-            reply = self._rpc(stage.server_id, payload, stage.session_id)
+            reply = self.net.rpc(self.name, stage.server_id,
+                                 WireMessage(payload, stage.session_id))
         except (MessageDropped, ConnectionFailed) as e:
-            raise _StageFailure(stage.server_id, ban=True, reason=str(e))
+            raise _StageFailure(stage.server_id, ban=True, reason=str(e),
+                                dropped=isinstance(e, MessageDropped))
         if isinstance(reply.payload, Error):
             err = reply.payload
-            if err.code in ("expired", "desync"):
+            if err.code in ("expired", "desync", "no_record"):
+                # a live server lost the state: rebuild it or repeat the pass there
                 raise _StageFailure(stage.server_id, ban=False, reason=err.code,
                                     recover_in_place=True)
             if err.code == "capacity":
@@ -465,22 +467,24 @@ class SwarmClient:
         rows = self.engine.embed_array(prefix)
         rows = rows.reshape(1, -1, self.config.hidden_dim) if rows is not None else None
         n_in = len(prefix)
-        for _ in range(n_new):
-            out = self._run_chain_step(stages, rows, 1, n_in, quantized, counters,
-                                       dual, deadline)
-            counters.per_step_bytes.append(n_in * self.config.hidden_dim * 4
-                                           * len(stages))
-            if dual and self.cache_overhead_s:
-                self.clock.advance(self.cache_overhead_s * len(stages))
-            tok = self.engine.pick(out[0] if out is not None else None, mode, rng, top_k)
-            tokens.append(tok)
-            feed = tok if teacher_tokens is None else teacher_tokens[len(tokens)
-                                                                     - len(prefix) - 1]
-            emb = self.engine.embed_array([feed])
-            rows = (emb.reshape(1, 1, -1) if emb is not None else None)
-            n_in = 1
-        self._close_stages(stages)
-        return tokens
+        try:
+            for _ in range(n_new):
+                out = self._run_chain_step(stages, rows, 1, n_in, quantized, counters,
+                                           dual, deadline)
+                counters.per_step_bytes.append(n_in * self.config.hidden_dim * 4
+                                               * len(stages))
+                if dual and self.cache_overhead_s:
+                    self.clock.advance(self.cache_overhead_s * len(stages))
+                tok = self.engine.pick(out[0] if out is not None else None, mode, rng, top_k)
+                tokens.append(tok)
+                feed = tok if teacher_tokens is None else teacher_tokens[len(tokens)
+                                                                         - len(prefix) - 1]
+                emb = self.engine.embed_array([feed])
+                rows = (emb.reshape(1, 1, -1) if emb is not None else None)
+                n_in = 1
+            return tokens
+        finally:    # a failed attempt or a deadline leaves no session behind
+            self._close_stages(stages)
 
     def _generate_restart(self, prefix, n_new, mode, sample_seed, top_k, quantized,
                           counters, deadline, progress_probe, started) -> list[int]:
@@ -518,35 +522,29 @@ class SwarmClient:
                 try:
                     current = rows
                     for si, hop in enumerate(chain.hops):
-                        req_id = step * 4096 + si
                         wire_q = self._request_quantized(hop, quantized)
                         blob = (HiddenBlob.from_array(current, wire_q)
                                 if current is not None
                                 else HiddenBlob.shape_only(t, self.config.hidden_dim,
                                                            wire_q))
+                        fwd = Forward(step * 4096 + si, blob, 1, t, hop.start, hop.end,
+                                      quantize_reply=self._reply_quantized(hop, quantized))
                         while True:
                             self._check_deadline(deadline)
                             try:
-                                reply = self._rpc(
-                                    hop.server_id,
-                                    Forward(req_id, blob, 1, t,
-                                            quantize_reply=self._reply_quantized(
-                                                hop, quantized)),
-                                    run_sid)
+                                res = self._call_stage(_Stage(hop, run_sid), fwd)
                                 break
-                            except MessageDropped:
+                            except _StageFailure as f:
+                                if not f.dropped:
+                                    raise
                                 counters.retries += 1   # same server, same req_id
-                            except ConnectionFailed:
-                                self._ban(hop.server_id)
-                                raise _StageFailure(hop.server_id, True, "offline")
                         counters.messages += 1
                         counters.step_activation_bytes += t * self.config.hidden_dim * 4
-                        if isinstance(reply.payload, Error):
-                            raise _StageFailure(hop.server_id, True, reply.payload.code)
-                        res = reply.payload
                         current = (res.blob.array() if not res.blob.synthetic else None)
                     break
-                except _StageFailure:
+                except _StageFailure as f:
+                    if f.ban:
+                        self._ban(f.server_id)
                     counters.recoveries += 1
                     chain = self._route_chain(0, self.config.n_blocks, deadline)
             counters.per_step_bytes.append(t * self.config.hidden_dim * 4
@@ -674,11 +672,10 @@ class FinetuneSession:
                 self.head -= (self.lr * g_head).astype(np.float32)
                 self.loss_curve.append(loss)
                 return loss
-            except (_StageFailure, MessageDropped, ConnectionFailed) as e:
+            except _StageFailure as f:
                 self.counters.repeats += 1
-                sid = getattr(e, "server_id", None)
-                if sid and getattr(e, "ban", True):
-                    self.client._ban(sid)
+                if f.ban:
+                    self.client._ban(f.server_id)
         raise SwarmUnavailableError("fine-tune pass kept failing")
 
     def _one_pass(self, batch_tokens: np.ndarray, labels: np.ndarray, req_id: int):
@@ -697,8 +694,8 @@ class FinetuneSession:
         h = x
         for hop in chain.hops:
             blob = HiddenBlob.from_array(h.reshape(B * (P + T), d))
-            reply = self._training_rpc(hop.server_id,
-                                       Forward(req_id, blob, B, P + T, record=True))
+            reply = self._training_rpc(hop, Forward(req_id, blob, B, P + T, hop.start,
+                                                    hop.end, record=True))
             h = reply.blob.array().reshape(B, P + T, d)
 
         # classification on the final position of each sequence
@@ -717,19 +714,15 @@ class FinetuneSession:
         g = g_h
         for hop in reversed(chain.hops):
             blob = HiddenBlob.from_array(g.reshape(B * (P + T), d))
-            reply = self._training_rpc(hop.server_id,
-                                       Backward(req_id, blob, B, P + T))
+            reply = self._training_rpc(hop, Backward(req_id, blob, B, P + T,
+                                                     hop.start, hop.end))
             g = reply.blob.array().reshape(B, P + T, d)
 
         g_prompt = g[:, :P, :].sum(axis=0)
         self.counters.passes += 1
         return loss, g_prompt, g_head.astype(np.float32)
 
-    def _training_rpc(self, dest: str, payload):
-        client = self.client
-        reply = client.net.rpc(client.name, dest, WireMessage(payload, self._sid))
+    def _training_rpc(self, hop: Hop, payload):
+        reply = self.client._call_stage(_Stage(hop, self._sid), payload)
         self.counters.messages += 1
-        if isinstance(reply.payload, Error):
-            raise _StageFailure(dest, ban=reply.payload.code not in ("no_record",),
-                                reason=reply.payload.code)
-        return reply.payload
+        return reply

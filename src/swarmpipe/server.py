@@ -223,7 +223,8 @@ class BlockServer:
         self.end = min(cfg.start + cfg.capacity, self.n_blocks)
         self.sessions: dict[int, SessionState] = {}
         self.forward_records: dict[tuple[int, int], list] = {}
-        self.replay: dict[int, tuple[int, WireMessage]] = {}   # session -> (req_id, reply)
+        # session -> ((req_id, start, end), reply)
+        self.replay: dict[int, tuple[tuple[int, int, int], WireMessage]] = {}
         self.handled = 0
         self.loading_until: float | None = None
         self.block_moves = 0
@@ -360,13 +361,19 @@ class BlockServer:
             for key in list(self.forward_records)[:len(self.forward_records) - 1024]:
                 del self.forward_records[key]
 
-    def _open(self, sid: int, p: OpenSession, ctx: HandlerContext) -> WireMessage:
+    def _not_serving(self, start: int, end: int) -> WireMessage | None:
+        """The refusal for blocks [start, end) this server does not hold loaded."""
         if self.loading_until is not None and self.net.clock.now < self.loading_until:
             return WireMessage(Error("not_serving", "loading blocks"))
-        if not (self.start <= p.start and p.end <= self.end and p.start < p.end):
+        if not (self.start <= start and end <= self.end and start < end):
             return WireMessage(Error(
-                "not_serving",
-                f"serves [{self.start}, {self.end}), asked [{p.start}, {p.end})"))
+                "not_serving", f"serves [{self.start}, {self.end}), asked [{start}, {end})"))
+        return None
+
+    def _open(self, sid: int, p: OpenSession, ctx: HandlerContext) -> WireMessage:
+        refusal = self._not_serving(p.start, p.end)
+        if refusal is not None:
+            return refusal
         self.sessions[sid] = SessionState(
             sid, p.start, p.end, p.width, p.quantized,
             self.engine.make_caches(p.start, p.end, p.width), 0,
@@ -434,35 +441,42 @@ class BlockServer:
         return WireMessage(Pong())
 
     def _forward(self, sid: int, p: Forward, ctx: HandlerContext) -> WireMessage:
+        # a rerouted step may ask this server for another interval under the
+        # same req_id; only the same interval is a resend
+        request = (p.req_id, p.start, p.end)
         hit = self.replay.get(sid)
-        if hit is not None and hit[0] == p.req_id:
+        if hit is not None and hit[0] == request:
             return hit[1]
+        refusal = self._not_serving(p.start, p.end)
+        if refusal is not None:
+            return refusal
         rows = p.batch * p.tokens
-        n_blocks = self.end - self.start
-        ctx.consume(self.cfg.compute.stage_seconds(n_blocks, rows, False))
+        ctx.consume(self.cfg.compute.stage_seconds(p.end - p.start, rows, False))
         record: list | None = [] if p.record else None
-        out = self.engine.forward(self.start, self.end, p.blob, p.batch, p.tokens,
+        out = self.engine.forward(p.start, p.end, p.blob, p.batch, p.tokens,
                                   MICRO_BATCH_TOKENS, record)
         if p.quantize_reply and not out.synthetic:
             out = HiddenBlob.from_array(out.array(), quantized=True)
         elif p.quantize_reply:
             out = HiddenBlob.shape_only(out.rows, out.cols, quantized=True)
         if p.record:
-            self.forward_records[(sid, p.req_id)] = record
+            self.forward_records[(sid, p.req_id, p.start, p.end)] = record
             # one outstanding training pass per client session
             for key in [k for k in self.forward_records if k[0] == sid and k[1] != p.req_id]:
                 del self.forward_records[key]
         reply = WireMessage(StepResult(0, out, p.batch, p.tokens))
-        self.replay[sid] = (p.req_id, reply)
+        self.replay[sid] = (request, reply)
         return reply
 
     def _backward(self, sid: int, p: Backward, ctx: HandlerContext) -> WireMessage:
-        record = self.forward_records.get((sid, p.req_id))
+        refusal = self._not_serving(p.start, p.end)
+        if refusal is not None:
+            return refusal
+        record = self.forward_records.get((sid, p.req_id, p.start, p.end))
         if record is None:
             return WireMessage(Error("no_record",
                                      "no matching forward; repeat the pass"))
         rows = p.batch * p.tokens
-        n_blocks = self.end - self.start
-        ctx.consume(2 * self.cfg.compute.stage_seconds(n_blocks, rows, False))
-        out = self.engine.backward(self.start, self.end, p.blob, p.batch, p.tokens, record)
+        ctx.consume(2 * self.cfg.compute.stage_seconds(p.end - p.start, rows, False))
+        out = self.engine.backward(p.start, p.end, p.blob, p.batch, p.tokens, record)
         return WireMessage(StepResult(0, out, p.batch, p.tokens))

@@ -148,8 +148,8 @@ class HiddenBlob:
 _OPEN = struct.Struct("<IIHBQI")      # start, end, width, flags, client_id, reserved
 _STEP = struct.Struct("<IHHQ")        # position_offset, width, n_new, reserved
 _RESTORE = struct.Struct("<IHB")      # t, width, want_outputs
-_FORWARD = struct.Struct("<QBII")     # req_id, flags, batch, tokens
-_BACKWARD = struct.Struct("<QII")     # req_id, batch, tokens
+_FORWARD = struct.Struct("<QBIIII")   # req_id, flags, batch, tokens, start, end
+_BACKWARD = struct.Struct("<QIIII")   # req_id, batch, tokens, start, end
 
 
 @dataclass
@@ -196,6 +196,8 @@ class Forward:
     blob: HiddenBlob          # batch*tokens rows
     batch: int
     tokens: int
+    start: int                # blocks [start, end) to run
+    end: int
     record: bool = False      # keep inputs for a matching BACKWARD
     quantize_reply: bool = False
 
@@ -206,6 +208,8 @@ class Backward:
     blob: HiddenBlob          # grad wrt outputs, batch*tokens rows
     batch: int
     tokens: int
+    start: int                # the interval of the matching FORWARD
+    end: int
 
 
 @dataclass
@@ -289,10 +293,11 @@ def encode_payload(payload: Payload) -> bytes:
         return struct.pack(f"<H{len(payload.indices)}H", len(payload.indices), *payload.indices)
     if isinstance(payload, Forward):
         flags = (1 if payload.record else 0) | (2 if payload.quantize_reply else 0)
-        return _FORWARD.pack(payload.req_id, flags,
-                             payload.batch, payload.tokens) + payload.blob.encode()
+        return _FORWARD.pack(payload.req_id, flags, payload.batch, payload.tokens,
+                             payload.start, payload.end) + payload.blob.encode()
     if isinstance(payload, Backward):
-        return _BACKWARD.pack(payload.req_id, payload.batch, payload.tokens) + payload.blob.encode()
+        return _BACKWARD.pack(payload.req_id, payload.batch, payload.tokens,
+                              payload.start, payload.end) + payload.blob.encode()
     if isinstance(payload, (Ping, Pong, Close)):
         return b""
     if isinstance(payload, Announce):
@@ -319,13 +324,13 @@ def decode_payload(kind: Kind, buf: bytes) -> Payload:
         (n,) = struct.unpack_from("<H", buf)
         return Reorder(list(struct.unpack_from(f"<{n}H", buf, 2)))
     if kind == Kind.FORWARD:
-        req_id, flags, batch, tokens = _FORWARD.unpack_from(buf)
+        req_id, flags, batch, tokens, start, end = _FORWARD.unpack_from(buf)
         blob, _ = HiddenBlob.decode(buf, _FORWARD.size)
-        return Forward(req_id, blob, batch, tokens, bool(flags & 1), bool(flags & 2))
+        return Forward(req_id, blob, batch, tokens, start, end, bool(flags & 1), bool(flags & 2))
     if kind == Kind.BACKWARD:
-        req_id, batch, tokens = _BACKWARD.unpack_from(buf)
+        req_id, batch, tokens, start, end = _BACKWARD.unpack_from(buf)
         blob, _ = HiddenBlob.decode(buf, _BACKWARD.size)
-        return Backward(req_id, blob, batch, tokens)
+        return Backward(req_id, blob, batch, tokens, start, end)
     if kind == Kind.PING:
         return Ping()
     if kind == Kind.PONG:

@@ -7,7 +7,7 @@ from swarmpipe.client import Strategy
 from swarmpipe.errors import SwarmUnavailableError
 from swarmpipe.model import ModelConfig, reference_generate
 from swarmpipe.netsim import ChurnSchedule, NetProfile
-from swarmpipe.swarm import build_sim_swarm
+from swarmpipe.swarm import build_sim_swarm, build_swarm_from_config
 from swarmpipe.wire import OpenSession
 
 
@@ -37,6 +37,19 @@ class TestFailureFree:
     def test_zero_new_tokens(self, cfg):
         swarm = build_sim_swarm(cfg, seed=0)
         assert swarm.client().generate([9, 9], 0).tokens == [9, 9]
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_hop_over_part_of_a_span_runs_only_its_blocks(self, strategy):
+        """The router takes a[0, 4) from a server holding [0, 6); no strategy
+        may run blocks 4-5 twice."""
+        swarm = build_swarm_from_config({"model": {"seed": 1}, "servers": [
+            {"server_id": "a", "capacity": 6, "start": 0, "compute_tokens_per_s": 50},
+            {"server_id": "b", "capacity": 4, "start": 4, "compute_tokens_per_s": 400}]})
+        client = swarm.client()
+        hops = client._route_chain(0, 8, None).hops
+        assert [(h.server_id, h.start, h.end) for h in hops] == [("a", 0, 4), ("b", 4, 8)]
+        res = client.generate([5, 6, 7], 16, strategy=strategy)
+        assert res.tokens == reference_generate(ModelConfig(seed=1), [5, 6, 7], 16)
 
     def test_single_server_swarm(self, cfg, oracle64):
         swarm = build_sim_swarm(cfg, n_stages=1, replicas=1, seed=0)
@@ -126,6 +139,16 @@ class TestRecovery:
         assert res.tokens == oracle64
         assert res.counters.restarts >= 1
         assert res.counters.restore_events == []
+
+    def test_restart_attempts_close_their_sessions(self, cfg):
+        """A failed attempt closes its sessions rather than leaving them to
+        the TTL purge; only sessions whose CLOSE or open reply was lost stay."""
+        swarm = build_sim_swarm(cfg, seed=1, profile=NetProfile(failure_prob=8e-3))
+        res = swarm.client().generate([5, 6, 7], 64, strategy=Strategy.RESTART)
+        swarm.net.clock.advance(1.0)   # let the last CLOSE posts land
+        left = sum(len(s.sessions) for s in swarm.servers.values())
+        assert res.counters.restarts > 10
+        assert left < res.counters.restarts
 
     def test_cacheless_retries_only_failed_step(self, cfg, oracle64):
         swarm = build_sim_swarm(cfg, seed=1, profile=NetProfile(failure_prob=5e-3))

@@ -90,6 +90,20 @@ def test_retries_reproduce_failure_free_run(cfg):
     assert clean.loss_curve == pytest.approx(faulty.loss_curve)
 
 
+def test_crashed_server_fails_over_to_replica(cfg):
+    """A pass that meets a crashed server bans it and repeats once on its
+    replica."""
+    swarm = build_sim_swarm(cfg, seed=0)
+    client = swarm.client()
+    assert "s1a" in [h.server_id for h in client._route_chain(0, 8, None).hops]
+    swarm.net.set_crashed("s1a")
+    ft = FinetuneSession(client, n_labels=8, prompt_len=4, lr=0.3, init_seed=0)
+    batch, labels = _copy_task(np.random.default_rng(0), 4, 6, 8)
+    assert np.isfinite(ft.step(batch, labels))
+    assert ft.counters.repeats == 1
+    assert client.bans.is_banned("s1a")
+
+
 def test_server_params_frozen_through_training(cfg):
     swarm = build_sim_swarm(cfg, seed=0)
     hashes = {sid: params_hash(s.engine.blocks) for sid, s in swarm.servers.items()}

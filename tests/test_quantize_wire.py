@@ -66,8 +66,8 @@ def _all_kind_messages(rng):
         WireMessage(StepResult(11, HiddenBlob.from_array(h, quantized=True), 1, 5), 3),
         WireMessage(Restore(5, HiddenBlob.from_array(h), 1, want_outputs=False), 3),
         WireMessage(Reorder([2, 2, 1, 3, 2])),
-        WireMessage(Forward(41, HiddenBlob.from_array(h), 1, 5, record=True)),
-        WireMessage(Backward(41, HiddenBlob.from_array(h), 1, 5)),
+        WireMessage(Forward(41, HiddenBlob.from_array(h), 1, 5, 2, 6, record=True)),
+        WireMessage(Backward(41, HiddenBlob.from_array(h), 1, 5, 2, 6)),
         WireMessage(Ping()),
         WireMessage(Pong()),
         WireMessage(Announce({"server_id": "a", "throughput": 12.5, "start": 0, "end": 4})),
@@ -103,6 +103,17 @@ class TestFraming:
         m = WireMessage(OpenSession(1, 3, 4, True, 9), 5)
         back, _ = decode_frame(encode_frame(m))
         assert back.payload == OpenSession(1, 3, 4, True, 9)
+
+    def test_training_intervals_survive(self, rng):
+        h = rng.standard_normal((5, 64)).astype(np.float32)
+        for m in _all_kind_messages(rng):
+            if not isinstance(m.payload, (Forward, Backward)):
+                continue
+            back, _ = decode_frame(encode_frame(m))
+            assert (back.payload.start, back.payload.end) == (2, 6)
+        back, _ = decode_frame(encode_frame(WireMessage(
+            Forward(3, HiddenBlob.from_array(h), 1, 5, 0, 4, quantize_reply=True))))
+        assert not back.payload.record and back.payload.quantize_reply
 
     def test_reserved_fields_keep_frame_sizes(self, rng):
         """OPEN_SESSION and STEP keep their reserved words, so every simulated

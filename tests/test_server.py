@@ -206,9 +206,9 @@ class TestTraining:
         before = params_hash(blocks)
 
         fwd = _rpc(net, srv, Forward(1, HiddenBlob.from_array(x.reshape(8, -1)),
-                                     2, 4, record=True), sid=9)
+                                     2, 4, 1, 4, record=True), sid=9)
         bwd = _rpc(net, srv, Backward(1, HiddenBlob.from_array(gy.reshape(8, -1)),
-                                      2, 4), sid=9)
+                                      2, 4, 1, 4), sid=9)
         got_y = fwd.payload.blob.array().reshape(2, 4, -1)
         got_g = bwd.payload.blob.array().reshape(2, 4, -1)
 
@@ -231,18 +231,44 @@ class TestTraining:
         net, board = sim
         srv = _server(net, board, cfg)
         g = HiddenBlob.from_array(rng.standard_normal((4, 64)).astype(np.float32))
-        res = _rpc(net, srv, Backward(77, g, 1, 4), sid=10)
+        res = _rpc(net, srv, Backward(77, g, 1, 4, 0, 4), sid=10)
         assert isinstance(res.payload, Error) and res.payload.code == "no_record"
+
+    def test_training_pass_runs_only_the_asked_blocks(self, sim, cfg, rng):
+        """A pass over part of the span runs exactly those blocks; blocks the
+        server does not hold are refused, and a backward needs the forward of
+        the same interval."""
+        net, board = sim
+        srv = _server(net, board, cfg, start=0, capacity=4)
+        blocks, _ = init_model(cfg)
+        x = rng.standard_normal((1, 4, cfg.hidden_dim)).astype(np.float32)
+        blob = HiddenBlob.from_array(x.reshape(4, -1))
+        y = _rpc(net, srv, Forward(1, blob, 1, 4, 1, 3, record=True), sid=12)
+        want = x
+        for bi in (1, 2):
+            want, _, _ = block_forward_batched(
+                blocks[bi], want, np.zeros((1, 0, 4, 16), np.float32),
+                np.zeros((1, 0, 4, 16), np.float32))
+        assert np.abs(y.payload.blob.array() - want[0]).max() < 1e-5
+        g = HiddenBlob.from_array(rng.standard_normal((4, 64)).astype(np.float32))
+        assert _rpc(net, srv, Backward(1, g, 1, 4, 0, 4), sid=12).payload.code == "no_record"
+        assert isinstance(_rpc(net, srv, Backward(1, g, 1, 4, 1, 3), sid=12).payload,
+                          StepResult)
+        for payload in (Forward(2, blob, 1, 4, 2, 6), Backward(1, g, 1, 4, 3, 5)):
+            res = _rpc(net, srv, payload, sid=12)
+            assert isinstance(res.payload, Error) and res.payload.code == "not_serving"
 
     def test_forward_replay_dedup(self, sim, cfg, rng):
         net, board = sim
         srv = _server(net, board, cfg)
         x = HiddenBlob.from_array(rng.standard_normal((4, 64)).astype(np.float32))
-        a = _rpc(net, srv, Forward(5, x, 1, 4), sid=11)
+        a = _rpc(net, srv, Forward(5, x, 1, 4, 0, 4), sid=11)
         handled = srv.handled
-        b = _rpc(net, srv, Forward(5, x, 1, 4), sid=11)
+        b = _rpc(net, srv, Forward(5, x, 1, 4, 0, 4), sid=11)
         assert np.array_equal(a.payload.blob.array(), b.payload.blob.array())
         assert srv.handled == handled + 1   # replayed, not recomputed
+        c = _rpc(net, srv, Forward(5, x, 1, 4, 0, 2), sid=11)   # same req_id, other blocks
+        assert not np.array_equal(a.payload.blob.array(), c.payload.blob.array())
 
     def test_micro_batch_split_preserves_results(self, sim, cfg, rng):
         blocks, _ = init_model(cfg)
@@ -260,14 +286,14 @@ class TestTraining:
         xa = rng.standard_normal((1, 4, 64)).astype(np.float32)
         xb = rng.standard_normal((1, 4, 64)).astype(np.float32)
         g = rng.standard_normal((1, 4, 64)).astype(np.float32)
-        _rpc(net, srv, Forward(1, HiddenBlob.from_array(xa.reshape(4, -1)), 1, 4,
+        _rpc(net, srv, Forward(1, HiddenBlob.from_array(xa.reshape(4, -1)), 1, 4, 0, 4,
                                record=True), sid=100)
-        _rpc(net, srv, Forward(1, HiddenBlob.from_array(xb.reshape(4, -1)), 1, 4,
+        _rpc(net, srv, Forward(1, HiddenBlob.from_array(xb.reshape(4, -1)), 1, 4, 0, 4,
                                record=True), sid=200)
         ga = _rpc(net, srv, Backward(1, HiddenBlob.from_array(g.reshape(4, -1)),
-                                     1, 4), sid=100).payload.blob.array()
+                                     1, 4, 0, 4), sid=100).payload.blob.array()
         gb = _rpc(net, srv, Backward(1, HiddenBlob.from_array(g.reshape(4, -1)),
-                                     1, 4), sid=200).payload.blob.array()
+                                     1, 4, 0, 4), sid=200).payload.blob.array()
         assert not np.array_equal(ga, gb)
 
 
