@@ -39,8 +39,6 @@ HOPELESS_EXPECTED_SUCCESSES = 0.1
 class ExperimentSpec:
     experiment: str                      # failure-rate | load-balance | offload
     seed: int = 0
-    out_path: str | None = None
-    full_scale: bool = False
     quantized: bool = False
     budget_s: float = BUDGET_S
     failure_rates: tuple = FAILURE_RATES

@@ -81,8 +81,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.experiment == "failure-rate":
-        spec = ExperimentSpec("failure-rate", seed=args.seed, out_path=args.out,
-                              quantized=args.quantized, budget_s=args.budget)
+        spec = ExperimentSpec("failure-rate", seed=args.seed, quantized=args.quantized,
+                              budget_s=args.budget)
         records = run_failure_rate_experiment(spec)
     elif args.experiment == "load-balance":
         cspec = (ChurnStudySpec.full_scale(args.seed) if args.full_scale

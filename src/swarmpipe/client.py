@@ -14,6 +14,8 @@ Implements the three generation strategies over a chain of block servers:
 
 All strategies produce the same tokens as the single-process oracle; the
 differences are cost and failure behavior, which the counters expose.
+Dual-cache, restart and beam search run one decode loop (``_decode``); every
+step and beam reorder walks the stages through one recovery path (``_walk``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +35,10 @@ from .netsim import SimNetwork
 from .router import Chain, Hop, RoutingGraph, ServerRoute
 from .wire import (Backward, Close, Error, Forward, HiddenBlob, OpenSession,
                    Reorder, Restore, Step, StepResult, WireMessage)
+
+MAX_REROUTES = 10          # routing attempts before a chain counts as unavailable
+CACHE_OVERHEAD_S = 0.005   # client bookkeeping per stage per step that keeps history
+MAX_PASS_RETRIES = 50      # fine-tune passes tried before giving up
 
 
 class Strategy(enum.Enum):
@@ -75,12 +82,10 @@ class RestartProgress:
 
 
 class _StageFailure(Exception):
-    def __init__(self, server_id: str, ban: bool, reason: str, recover_in_place: bool = False,
-                 dropped: bool = False):
+    def __init__(self, server_id: str, ban: bool, reason: str, dropped: bool = False):
         super().__init__(f"{server_id}: {reason}")
         self.server_id = server_id
-        self.ban = ban
-        self.recover_in_place = recover_in_place
+        self.ban = ban              # False: a live server lost state; rebuild or repeat there
         self.dropped = dropped      # a lost message: the server may well be alive
 
 
@@ -128,11 +133,8 @@ class TimedClientEngine:
 
 @dataclass
 class _HistoryItem:
-    kind: str                      # "rows" | "reorder"
-    width: int = 1
-    n_new: int = 0
-    rows: np.ndarray | None = None   # [width, n_new, d]; None for timed engine
-    parents0: list[int] | None = None
+    rows: np.ndarray | None = None      # [width, n_new, d] sent; None for timed engine
+    parents0: list[int] | None = None   # set instead for a beam reorder
 
 
 @dataclass
@@ -148,7 +150,6 @@ class _Stage:
 
     def record(self, rows: np.ndarray | None, width: int, n_new: int) -> None:
         self.history.append(_HistoryItem(
-            "rows", width, n_new,
             rows.reshape(width, n_new, -1).copy() if rows is not None else None))
 
     def lineage_matrix(self, d: int, final_width: int) -> np.ndarray | None:
@@ -156,17 +157,15 @@ class _Stage:
         state a replacement must rebuild. Shape [final_width, t, d]."""
         anc = list(range(final_width))
         collected: list[list[np.ndarray]] = [[] for _ in range(final_width)]
-        timed = False
         for it in reversed(self.history):
-            if it.kind == "reorder":
+            if it.parents0 is not None:
                 anc = [it.parents0[a] for a in anc]
+            elif it.rows is None:
+                return None         # timed engine: shapes only
             else:
-                if it.rows is None:
-                    timed = True
-                    continue
                 for s in range(final_width):
                     collected[s].append(it.rows[anc[s]])
-        if timed or not collected[0]:
+        if not collected[0]:
             return None
         slots = [np.concatenate(list(reversed(ch)), axis=0) for ch in collected]
         return np.stack(slots)
@@ -179,8 +178,7 @@ class _Stage:
 class SwarmClient:
     def __init__(self, name: str, config: M.ModelConfig, net: SimNetwork,
                  directory: DirectoryBoard, engine=None,
-                 ban_cooldown_s: float = 15.0, reroute_backoff_s: float = 2.0,
-                 max_reroutes: int = 10, cache_overhead_s: float = 0.005):
+                 ban_cooldown_s: float = 15.0, reroute_backoff_s: float = 2.0):
         self.name = name
         self.config = config
         self.net = net
@@ -189,8 +187,6 @@ class SwarmClient:
         self.graph = RoutingGraph(config.n_blocks)
         self.bans = BanList(lambda: net.clock.now, ban_cooldown_s)
         self.reroute_backoff_s = reroute_backoff_s
-        self.max_reroutes = max_reroutes
-        self.cache_overhead_s = cache_overhead_s
         self._sid_counter = 0
         self._sid_base = M._splitmix64(zlib.crc32(name.encode()), 1)[0].item() << 64
 
@@ -232,8 +228,7 @@ class SwarmClient:
             err = reply.payload
             if err.code in ("expired", "desync", "no_record"):
                 # a live server lost the state: rebuild it or repeat the pass there
-                raise _StageFailure(stage.server_id, ban=False, reason=err.code,
-                                    recover_in_place=True)
+                raise _StageFailure(stage.server_id, ban=False, reason=err.code)
             if err.code == "capacity":
                 raise CapacityError(err.detail)
             raise _StageFailure(stage.server_id, ban=True, reason=err.code)
@@ -253,7 +248,7 @@ class SwarmClient:
     # -- chain management -----------------------------------------------------
 
     def _route_chain(self, start: int, end: int, deadline: float | None) -> Chain:
-        for _ in range(self.max_reroutes):
+        for _ in range(MAX_REROUTES):
             self._check_deadline(deadline)
             self.refresh_routes()
             try:
@@ -261,7 +256,7 @@ class SwarmClient:
             except NoRouteError:
                 self.clock.advance(self.reroute_backoff_s)
         raise SwarmUnavailableError(f"no chain for [{start}, {end}) after "
-                                    f"{self.max_reroutes} reroutes")
+                                    f"{MAX_REROUTES} reroutes")
 
     def _reply_quantized(self, hop: Hop, quantized: bool) -> bool:
         # only stage-to-stage boundaries carry coded activations; the final
@@ -285,11 +280,21 @@ class SwarmClient:
 
     def _rebuild(self, stage: _Stage, width: int, quantized: bool, counters: RunCounters,
                  want_outputs: bool = False):
-        """Open a fresh session for ``stage`` and replay its history there."""
+        """Open a fresh session for ``stage`` and replay its history there in
+        one batched restore; returns the restore's outputs if asked for."""
         hist = stage.lineage_matrix(self.config.hidden_dim, width)
+        t = stage.rows_sent
         self._open_session(stage, width, quantized)
-        return self._restore_stage(stage, hist, stage.rows_sent, width, quantized,
-                                   counters, want_outputs)
+        wire_q = self._request_quantized(stage.hop, quantized)
+        blob = (self._blob_from_rows(hist, width, t, wire_q) if t > 0
+                else HiddenBlob.shape_only(0, self.config.hidden_dim))
+        res = self._call_stage(stage, Restore(t, blob, width, want_outputs))
+        counters.messages += 1
+        counters.restore_events.append(
+            (stage.hop.start, stage.hop.end, t, width * t * self.config.hidden_dim * 4))
+        if want_outputs and t > 0:
+            return self._result_rows(res, width, t)
+        return None
 
     def _open_chain(self, quantized: bool, deadline: float | None) -> list[_Stage]:
         """Route a full chain and open width-1 sessions along it; an open
@@ -324,48 +329,36 @@ class SwarmClient:
         if deadline is not None and self.clock.now >= deadline:
             raise BudgetExhausted(f"simulated deadline reached at {self.clock.now:.1f}s")
 
-    # -- dual cache / restart core ---------------------------------------------
+    # -- the decode loop ----------------------------------------------------------
 
-    def _step_one_stage(self, stage: _Stage, rows: np.ndarray | None, width: int,
-                        n_new: int, quantized: bool, counters: RunCounters,
-                        record_history: bool):
+    def _step_stage(self, stage: _Stage, rows: np.ndarray | None, width: int, n_new: int,
+                    quantized: bool, counters: RunCounters, record: bool):
         blob = self._blob_from_rows(rows, width, n_new,
                                     self._request_quantized(stage.hop, quantized))
         res = self._call_stage(stage, Step(stage.rows_sent, blob, width, n_new))
         counters.messages += 1
         counters.step_activation_bytes += width * n_new * self.config.hidden_dim * 4
-        if record_history:
+        if record:
             stage.record(rows, width, n_new)
         stage.rows_sent += n_new
         return self._result_rows(res, width, n_new)
 
-    def _restore_stage(self, stage: _Stage, history_rows: np.ndarray | None,
-                       t: int, width: int, quantized: bool, counters: RunCounters,
-                       want_outputs: bool):
-        wire_q = self._request_quantized(stage.hop, quantized)
-        blob = (self._blob_from_rows(history_rows, width, t, wire_q) if t > 0
-                else HiddenBlob.shape_only(0, self.config.hidden_dim))
-        res = self._call_stage(stage, Restore(t, blob, width, want_outputs))
+    def _reorder_stage(self, stage: _Stage, parents0: list[int], counters: RunCounters):
+        self._call_stage(stage, Reorder([p + 1 for p in parents0]))
         counters.messages += 1
-        counters.restore_events.append(
-            (stage.hop.start, stage.hop.end, t, width * t * self.config.hidden_dim * 4))
-        stage.rows_sent = t
-        if want_outputs and t > 0:
-            return self._result_rows(res, width, t)
-        return None
+        stage.history.append(_HistoryItem(parents0=list(parents0)))
+        return parents0
 
-    def _replace_failed_stage(self, stages: list[_Stage], idx: int, width: int,
-                              quantized: bool, counters: RunCounters,
-                              deadline: float | None) -> list[_Stage]:
+    def _replace_failed_stage(self, failed: _Stage, width: int, quantized: bool,
+                              counters: RunCounters, deadline: float | None) -> list[_Stage]:
         """Ban the failed server, route replacements for its blocks, and
         rebuild their state from the client-side cache."""
-        failed = stages[idx]
         self._ban(failed.server_id)
         counters.recoveries += 1
         hist = failed.lineage_matrix(self.config.hidden_dim, width)
         t = failed.rows_sent
 
-        for _ in range(self.max_reroutes):
+        for _ in range(MAX_REROUTES):
             self._check_deadline(deadline)
             counters.reroutes += 1
             seg = self._route_chain(failed.hop.start, failed.hop.end, deadline)
@@ -385,36 +378,64 @@ class SwarmClient:
                     self._ban(f2.server_id)
         raise SwarmUnavailableError("replacements kept failing")
 
-    def _run_chain_step(self, stages: list[_Stage], rows, width: int, n_new: int,
-                        quantized: bool, counters: RunCounters, dual: bool,
-                        deadline: float | None):
-        """Send one step through every stage, applying the recovery policy.
-        Returns final-stage rows. Mutates ``stages`` on replacement."""
+    def _walk(self, stages: list[_Stage], op, x, width: int, quantized: bool,
+              counters: RunCounters, deadline: float | None, recover: bool = True):
+        """Apply ``op(stage, x)`` to every stage in order, each result the
+        next stage's ``x``, and return the last result. ``width`` is the
+        stages' width before ``op``. A stage that fails is rebuilt in place
+        (``expired``/``desync``: a live server lost the session) or replaced
+        from its history, and ``op`` repeats there; ``stages`` is updated in
+        place. Without ``recover`` the failure propagates."""
         idx = 0
-        current = rows
         while idx < len(stages):
             self._check_deadline(deadline)
             stage = stages[idx]
             try:
-                out = self._step_one_stage(stage, current, width, n_new, quantized,
-                                           counters, record_history=dual)
-                current = out
+                x = op(stage, x)
                 idx += 1
             except _StageFailure as f:
-                if not dual:
+                if not recover:
                     raise
-                if f.recover_in_place:
-                    # session lapsed or desynced on a live server: rebuild there
+                if not f.ban:       # expired/desync: rebuild on the live server
                     counters.recoveries += 1
                     try:
                         self._rebuild(stage, width, quantized, counters)
                         continue
                     except _StageFailure:
                         pass
-                replacements = self._replace_failed_stage(
-                    stages, idx, width, quantized, counters, deadline)
-                stages[idx:idx + 1] = replacements
-        return current
+                stages[idx:idx + 1] = self._replace_failed_stage(
+                    stage, width, quantized, counters, deadline)
+        return x
+
+    def _decode(self, prefix: list[int], n_new: int, choose, quantized: bool,
+                counters: RunCounters, deadline: float | None, recover: bool = True) -> None:
+        """Open a chain, step it ``n_new`` times and close it, whether or not
+        the run finishes. ``choose(out)`` gets the final stage's rows
+        ``[width, n, d]`` (None on the timed engine) and returns the beam
+        parents to reorder every stage by (None for one sequence) and the
+        next token of every slot. With ``recover`` every stage keeps its
+        history, which costs ``CACHE_OVERHEAD_S`` per stage per step."""
+        stages = self._open_chain(quantized, deadline)
+        try:
+            feed, width = [list(prefix)], 1
+            for _ in range(n_new):
+                n_in = len(feed[0])
+                rows = self.engine.embed_array([t for slot in feed for t in slot])
+                step = partial(self._step_stage, width=width, n_new=n_in,
+                               quantized=quantized, counters=counters, record=recover)
+                out = self._walk(stages, step, rows, width, quantized, counters, deadline,
+                                 recover)
+                counters.per_step_bytes.append(width * n_in * self.config.hidden_dim * 4
+                                               * len(stages))
+                if recover:
+                    self.clock.advance(CACHE_OVERHEAD_S * len(stages))
+                parents, toks = choose(out)
+                if parents is not None:
+                    self._walk(stages, partial(self._reorder_stage, counters=counters),
+                               parents, width, quantized, counters, deadline, recover)
+                feed, width = [[t] for t in toks], len(toks)
+        finally:
+            self._close_stages(stages)
 
     # -- public API -------------------------------------------------------------
 
@@ -438,62 +459,46 @@ class SwarmClient:
             raise ConfigurationError("teacher forcing runs on the dual-cache path")
         if teacher_tokens is not None and len(teacher_tokens) < n_new:
             raise ConfigurationError("need one teacher token per step")
+        chooser = partial(self._chooser, prefix, mode, sample_seed, top_k, teacher_tokens)
         try:
             if strategy == Strategy.CACHELESS:
-                tokens = self._generate_cacheless(prefix, n_new, mode, sample_seed,
-                                                  top_k, quantized, counters, deadline)
-            elif strategy == Strategy.RESTART:
-                tokens = self._generate_restart(prefix, n_new, mode, sample_seed, top_k,
-                                                quantized, counters, deadline,
-                                                progress_probe, started)
+                tokens = self._generate_cacheless(chooser, n_new, quantized, counters,
+                                                  deadline)
             else:
-                tokens = self._generate_dual(prefix, n_new, mode, sample_seed, top_k,
-                                             quantized, counters, deadline,
-                                             teacher_tokens=teacher_tokens)
+                tokens = self._generate_cached(prefix, chooser, n_new, quantized, counters,
+                                               deadline, strategy == Strategy.RESTART,
+                                               progress_probe, started)
         except (BudgetExhausted, SwarmUnavailableError) as e:
             e.counters = counters      # partial accounting for the harness
             raise
         return GenerateResult(tokens, counters, self.clock.now - started)
 
-    def _token_rng(self, sample_seed):
-        return np.random.Generator(np.random.PCG64(sample_seed))
-
-    def _generate_dual(self, prefix, n_new, mode, sample_seed, top_k, quantized,
-                       counters, deadline, dual: bool = True,
-                       teacher_tokens: list[int] | None = None) -> list[int]:
-        stages = self._open_chain(quantized, deadline)
-        rng = self._token_rng(sample_seed)
+    def _chooser(self, prefix, mode, sample_seed, top_k, teacher_tokens):
+        """A fresh token list (the prefix) and the ``choose`` that appends the
+        engine's pick to it and feeds back that pick or the teacher's token."""
+        rng = np.random.Generator(np.random.PCG64(sample_seed))
         tokens = list(prefix)
-        rows = self.engine.embed_array(prefix)
-        rows = rows.reshape(1, -1, self.config.hidden_dim) if rows is not None else None
-        n_in = len(prefix)
-        try:
-            for _ in range(n_new):
-                out = self._run_chain_step(stages, rows, 1, n_in, quantized, counters,
-                                           dual, deadline)
-                counters.per_step_bytes.append(n_in * self.config.hidden_dim * 4
-                                               * len(stages))
-                if dual and self.cache_overhead_s:
-                    self.clock.advance(self.cache_overhead_s * len(stages))
-                tok = self.engine.pick(out[0] if out is not None else None, mode, rng, top_k)
-                tokens.append(tok)
-                feed = tok if teacher_tokens is None else teacher_tokens[len(tokens)
-                                                                         - len(prefix) - 1]
-                emb = self.engine.embed_array([feed])
-                rows = (emb.reshape(1, 1, -1) if emb is not None else None)
-                n_in = 1
-            return tokens
-        finally:    # a failed attempt or a deadline leaves no session behind
-            self._close_stages(stages)
 
-    def _generate_restart(self, prefix, n_new, mode, sample_seed, top_k, quantized,
-                          counters, deadline, progress_probe, started) -> list[int]:
+        def choose(out):
+            tokens.append(self.engine.pick(out[0] if out is not None else None,
+                                           mode, rng, top_k))
+            feed = (tokens[-1] if teacher_tokens is None
+                    else teacher_tokens[len(tokens) - len(prefix) - 1])
+            return None, [feed]
+        return tokens, choose
+
+    def _generate_cached(self, prefix, chooser, n_new, quantized, counters, deadline,
+                         restart: bool, progress_probe, started) -> list[int]:
+        """Dual-cache recovers every failure inside ``_decode``; restart lets
+        it end the attempt and starts over from the prefix."""
         attempts = 0
         while True:
             self._check_deadline(deadline)
+            tokens, choose = chooser()
             try:
-                return self._generate_dual(prefix, n_new, mode, sample_seed, top_k,
-                                           quantized, counters, deadline, dual=False)
+                self._decode(prefix, n_new, choose, quantized, counters, deadline,
+                             recover=not restart)
+                return tokens
             except _StageFailure as f:
                 attempts += 1
                 counters.restarts = attempts
@@ -507,11 +512,9 @@ class SwarmClient:
                         raise BudgetExhausted(
                             f"restart probe gave up after {attempts} attempts")
 
-    def _generate_cacheless(self, prefix, n_new, mode, sample_seed, top_k, quantized,
-                            counters, deadline) -> list[int]:
+    def _generate_cacheless(self, chooser, n_new, quantized, counters, deadline) -> list[int]:
         chain = self._route_chain(0, self.config.n_blocks, deadline)
-        rng = self._token_rng(sample_seed)
-        tokens = list(prefix)
+        tokens, choose = chooser()
         run_sid = self._new_sid()
         for step in range(n_new):
             emb = self.engine.embed_array(tokens)
@@ -549,9 +552,7 @@ class SwarmClient:
                     chain = self._route_chain(0, self.config.n_blocks, deadline)
             counters.per_step_bytes.append(t * self.config.hidden_dim * 4
                                            * len(chain.hops))
-            tok = self.engine.pick(current[-1:] if current is not None else None,
-                                   mode, rng, top_k)
-            tokens.append(tok)
+            choose(current[None] if current is not None else None)
         return tokens
 
     # -- beam search ------------------------------------------------------------
@@ -563,56 +564,24 @@ class SwarmClient:
         cache reordering on every stage. Matches the local beam oracle."""
         if k < 1:
             raise ConfigurationError("beam width must be >= 1")
+        if n_new < 1:
+            raise ConfigurationError("beam search needs n_new >= 1")
         if not isinstance(self.engine, RealClientEngine):
             raise ConfigurationError("beam search needs the real client engine")
         started, deadline, counters = self._start_run(prefix, n_new, deadline_s)
-        stages = self._open_chain(quantized, deadline)
+        hyps, scores = [list(prefix)], np.zeros(1)
 
-        width = 1
-        rows = self.engine.embed_array(prefix).reshape(1, -1, self.config.hidden_dim)
-        out = self._run_chain_step(stages, rows, 1, len(prefix), quantized,
-                                   counters, True, deadline)
-        logits = self.engine.logits(out[:, -1, :])
-        parents, toks, scores = M.beam_select(np.zeros(1), logits, k)
-        self._broadcast_reorder(stages, parents, width, quantized, counters, deadline)
-        width = k
-        hyps = [list(prefix) + [t] for t in toks]
-
-        for _ in range(n_new - 1):
-            rows = np.stack([self.engine.embed_array([h[-1]]) for h in hyps])
-            out = self._run_chain_step(stages, rows, width, 1, quantized,
-                                       counters, True, deadline)
+        def choose(out):
+            nonlocal hyps, scores
             logits = self.engine.logits(out[:, -1, :])
             parents, toks, scores = M.beam_select(scores, logits, k)
-            self._broadcast_reorder(stages, parents, width, quantized, counters, deadline)
             hyps = [hyps[p] + [t] for p, t in zip(parents, toks)]
-        self._close_stages(stages)
+            return parents, toks
+
+        self._decode(prefix, n_new, choose, quantized, counters, deadline)
         beams = [(h, float(s)) for h, s in zip(hyps, scores)]
         return GenerateResult(beams[0][0], counters, self.clock.now - started,
                               beams=beams)
-
-    def _broadcast_reorder(self, stages: list[_Stage], parents0: list[int],
-                           width: int, quantized: bool, counters: RunCounters,
-                           deadline) -> None:
-        item = _HistoryItem("reorder", parents0=list(parents0))
-        idx = 0
-        while idx < len(stages):
-            self._check_deadline(deadline)
-            stage = stages[idx]
-            try:
-                self._call_stage(stage, Reorder([p + 1 for p in parents0]))
-                counters.messages += 1
-                stage.history.append(item)
-                idx += 1
-            except _StageFailure as f:
-                # replacement rebuilds the post-reorder state: the pending
-                # reorder joins the history before lineage composition
-                stage.history.append(item)
-                new_width = len(parents0)
-                replacements = self._replace_failed_stage(
-                    stages, idx, new_width, quantized, counters, deadline)
-                stages[idx:idx + 1] = replacements
-                idx += 1
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +614,7 @@ class FinetuneSession:
     """
 
     def __init__(self, client: SwarmClient, n_labels: int, prompt_len: int = 4,
-                 lr: float = 0.5, init_seed: int = 0, max_pass_retries: int = 50):
+                 lr: float = 0.5, init_seed: int = 0):
         if not isinstance(client.engine, RealClientEngine):
             raise ConfigurationError("fine-tuning needs the real client engine")
         self.client = client
@@ -656,7 +625,6 @@ class FinetuneSession:
         self.soft_prompt = rng.uniform(-a, a, (prompt_len, d)).astype(np.float32)
         self.head = rng.uniform(-a, a, (d, n_labels)).astype(np.float32)
         self.lr = lr
-        self.max_pass_retries = max_pass_retries
         self.loss_curve: list[float] = []
         self.counters = FinetuneCounters()
         self._sid = client._new_sid()
@@ -664,7 +632,7 @@ class FinetuneSession:
 
     def step(self, batch_tokens: np.ndarray, labels: np.ndarray) -> float:
         """One SGD step on (batch_tokens [B, T], labels [B]). Returns loss."""
-        for _ in range(self.max_pass_retries):
+        for _ in range(MAX_PASS_RETRIES):
             self._req += 1
             try:
                 loss, g_prompt, g_head = self._one_pass(batch_tokens, labels, self._req)

@@ -35,9 +35,6 @@ class ServerInfo:
     state: str = STATE_ONLINE
     announced_at: float = 0.0
 
-    def covers(self, block: int) -> bool:
-        return self.start <= block < self.end
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -33,7 +33,7 @@ _ROLES = {
     "wq": 1, "wk": 2, "wv": 3, "wo": 4,
     "w1": 5, "w2": 6,
     "ln1_g": 7, "ln1_b": 8, "ln2_g": 9, "ln2_b": 10,
-    "embedding": 11, "soft_prompt": 12,
+    "embedding": 11,
 }
 
 
@@ -111,17 +111,12 @@ class BlockParams:
 
 @dataclass
 class ClientParams:
-    """Client-held parameters: token embedding (tied unembedding) and an
-    optional trainable soft prompt."""
+    """Client-held parameters: the token embedding (tied unembedding)."""
 
     embedding: np.ndarray
-    soft_prompt: np.ndarray | None = None
 
     def n_params(self) -> int:
-        n = self.embedding.size
-        if self.soft_prompt is not None:
-            n += self.soft_prompt.size
-        return n
+        return self.embedding.size
 
 
 @dataclass

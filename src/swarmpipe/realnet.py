@@ -23,6 +23,11 @@ RTT_SMOOTH_ALPHA = 0.5
 
 
 class WallClock:
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._timers: set[threading.Timer] = set()
+        self._stopped = False
+
     @property
     def now(self) -> float:
         return time.monotonic()
@@ -34,9 +39,26 @@ class WallClock:
         time.sleep(max(0.0, t - self.now))
 
     def schedule(self, t: float, fn) -> None:
-        timer = threading.Timer(max(0.0, t - self.now), fn)
+        def fire() -> None:
+            with self._lock:
+                self._timers.discard(timer)
+            fn()
+        timer = threading.Timer(max(0.0, t - self.now), fire)
         timer.daemon = True
+        with self._lock:
+            if self._stopped:
+                return
+            self._timers.add(timer)
         timer.start()
+
+    def stop(self) -> None:
+        """Cancel every pending timer and refuse new ones."""
+        with self._lock:
+            self._stopped = True
+            timers, self._timers = self._timers, set()
+        for timer in timers:
+            timer.cancel()
+            timer.join()
 
 
 def _recv_exact(conn: socket.socket, n: int) -> bytes:
@@ -82,10 +104,6 @@ class RealNetwork:
         lst.start()
         return lst.bound
 
-    def attach(self, name: str, host: str, port: int) -> None:
-        """Point a logical name at a remote node we did not start."""
-        self._addrs[name] = (host, port)
-
     def online(self, name: str, t: float | None = None) -> bool:
         return name in self._addrs
 
@@ -93,6 +111,7 @@ class RealNetwork:
         return NetProfile(rtt_ms=self._rtt_ms.get(name, 1.0))
 
     def shutdown(self) -> None:
+        self.clock.stop()
         for lst in self._listeners.values():
             lst.stop()
 
@@ -154,16 +173,18 @@ class _Listener:
         self.bytes_seen = 0
 
     def start(self) -> None:
-        t = threading.Thread(target=self._accept_loop, daemon=True,
-                             name=f"swarmpipe-{self.name}")
-        t.start()
+        self._thread = threading.Thread(target=self._accept_loop, daemon=True,
+                                        name=f"swarmpipe-{self.name}")
+        self._thread.start()
 
     def stop(self) -> None:
         self._stop.set()
-        try:
-            self._sock.close()
+        try:   # closing alone does not wake a thread blocked in accept
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
+        self._thread.join()
 
     def _accept_loop(self) -> None:
         while not self._stop.is_set():

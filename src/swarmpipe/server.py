@@ -10,10 +10,12 @@ Two payload engines sit behind the same protocol handler:
   times are identical to the real engine, which is what the benchmark
   experiments measure; correctness suites always run the real engine.
 
-Virtual compute costs (configurable): a single-position step costs
-``step_s_per_block`` per block; batched passes (prefill, restore, stateless
-forward) cost ``batch_base_s_per_block + batch_s_per_row * rows`` per block;
-backward costs twice its forward.
+Virtual compute costs: a single-position step costs ``1 /
+compute_tokens_per_s`` per block (the server's configured rate); batched
+passes (prefill, restore, stateless forward) add ``BATCH_S_PER_ROW`` per row
+per block; backward costs twice its forward. Both engines reply to a
+stateless forward in the encoding the request asks for, so their wire bytes
+match too.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import model as M
 from .balancer import RebalanceConfig, measure_throughput, propose_rebalance
-from .directory import ANNOUNCE_PERIOD_S, STATE_JOINING, STATE_ONLINE, DirectoryBoard, ServerInfo
+from .directory import ANNOUNCE_PERIOD_S, DirectoryBoard, ServerInfo
 from .errors import ProtocolError
 from .netsim import HandlerContext, SimNetwork, SimulatedCrash
 from .wire import (Announce, Backward, Close, Error, Forward, HiddenBlob,
@@ -32,21 +34,7 @@ from .wire import (Announce, Backward, Close, Error, Forward, HiddenBlob,
                    WireMessage, fnv1a64)  # noqa: F401  (fnv1a64: tracers patch it here by name)
 
 SESSION_TTL_S = 300.0
-
-
-@dataclass
-class ComputeModel:
-    """Virtual seconds charged per unit of work. The per-block step time is
-    the inverse of the server's compute rate (default 100 tokens/s -> 10 ms);
-    batched passes add a per-row term."""
-
-    step_s_per_block: float = 0.010
-    batch_s_per_row: float = 0.0005
-
-    def stage_seconds(self, n_blocks: int, rows: int, single_position: bool) -> float:
-        if single_position:
-            return n_blocks * self.step_s_per_block
-        return n_blocks * (self.step_s_per_block + self.batch_s_per_row * rows)
+BATCH_S_PER_ROW = 0.0005    # virtual seconds per block per row of a batched pass
 
 
 @dataclass
@@ -58,8 +46,6 @@ class ServerCfg:
     net_tokens_per_s: float = 1e6
     session_ttl_s: float = SESSION_TTL_S
     rebalance: RebalanceConfig = field(default_factory=RebalanceConfig)
-    batch_s_per_row: float = 0.0005
-    load_time_s_per_block: float = 0.0
     crash_after_messages: int | None = None   # failure injection
 
     def __post_init__(self) -> None:
@@ -67,7 +53,17 @@ class ServerCfg:
             raise ProtocolError("capacity must be >= 1")
         if self.compute_tokens_per_s <= 0:
             raise ProtocolError("compute rate must be > 0")
-        self.compute = ComputeModel(1.0 / self.compute_tokens_per_s, self.batch_s_per_row)
+
+    @property
+    def step_s_per_block(self) -> float:
+        """Virtual seconds of one single-position block forward (default
+        100 tokens/s -> 10 ms)."""
+        return 1.0 / self.compute_tokens_per_s
+
+    def stage_seconds(self, n_blocks: int, rows: int, single_position: bool) -> float:
+        if single_position:
+            return n_blocks * self.step_s_per_block
+        return n_blocks * (self.step_s_per_block + BATCH_S_PER_ROW * rows)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +100,8 @@ class RealServerEngine:
             c.gather(parents_zero_based)
 
     def forward(self, start: int, end: int, blob: HiddenBlob, batch: int, tokens: int,
-                micro_batch_tokens: int, record: list | None) -> HiddenBlob:
+                micro_batch_tokens: int, record: list | None,
+                quantized: bool = False) -> HiddenBlob:
         x = blob.array().reshape(batch, tokens, self.config.hidden_dim)
         outs = []
         for chunk in _micro_batches(batch, tokens, micro_batch_tokens):
@@ -122,7 +119,7 @@ class RealServerEngine:
                 record.append((chunk, per_block))
             outs.append(xc)
         y = np.concatenate(outs, axis=0)
-        return HiddenBlob.from_array(y.reshape(batch * tokens, -1))
+        return HiddenBlob.from_array(y.reshape(batch * tokens, -1), quantized)
 
     def backward(self, start: int, end: int, blob: HiddenBlob, batch: int, tokens: int,
                  record: list) -> HiddenBlob:
@@ -169,11 +166,11 @@ class TimedServerEngine:
         caches.width = len(parents_zero_based)
 
     def forward(self, start: int, end: int, blob: HiddenBlob, batch: int, tokens: int,
-                micro_batch_tokens: int, record: list | None) -> HiddenBlob:
+                micro_batch_tokens: int, record: list | None,
+                quantized: bool = False) -> HiddenBlob:
         if record is not None:
             record.append((batch, tokens))
-        return HiddenBlob.shape_only(batch * tokens, self.config.hidden_dim,
-                                     blob.quantize_flag)
+        return HiddenBlob.shape_only(batch * tokens, self.config.hidden_dim, quantized)
 
     def backward(self, start: int, end: int, blob: HiddenBlob, batch: int, tokens: int,
                  record: list) -> HiddenBlob:
@@ -226,7 +223,6 @@ class BlockServer:
         # session -> ((req_id, start, end), reply)
         self.replay: dict[int, tuple[tuple[int, int, int], WireMessage]] = {}
         self.handled = 0
-        self.loading_until: float | None = None
         self.block_moves = 0
         self._timers_started = False
 
@@ -239,15 +235,12 @@ class BlockServer:
     def self_measure(self) -> float:
         """Benchmark the compute rate (a 32-forward burst of one block in
         virtual time) and take the narrower of it and the network rate."""
-        burst_s = 32 * self.cfg.compute.step_s_per_block
+        burst_s = 32 * self.cfg.step_s_per_block
         return measure_throughput(self.cfg.net_tokens_per_s, 32.0 / burst_s)
 
-    def throughput(self) -> float:
-        return self.self_measure()
-
-    def announce(self, state: str = STATE_ONLINE) -> None:
+    def announce(self) -> None:
         rec = ServerInfo(self.server_id, self.server_id, self.start, self.end,
-                         self.throughput(), state).to_dict()
+                         self.self_measure()).to_dict()
         try:
             self.net.post(self.server_id, self.directory_addr, WireMessage(Announce(rec)))
         except Exception:
@@ -271,8 +264,7 @@ class BlockServer:
     def _schedule_announce(self) -> None:
         def tick() -> None:
             if self.net.online(self.server_id):
-                self.announce(STATE_JOINING if self.loading_until and
-                              self.net.clock.now < self.loading_until else STATE_ONLINE)
+                self.announce()
             self._schedule_announce()
         self.net.clock.schedule(self.net.clock.now + ANNOUNCE_PERIOD_S, tick)
 
@@ -283,13 +275,14 @@ class BlockServer:
         delay = period * (1.0 + self._phase()) if first else period
 
         def tick() -> None:
-            if self.net.online(self.server_id) and self.loading_until is None:
+            if self.net.online(self.server_id):
                 self.balance_once()
             self._schedule_balance()
         self.net.clock.schedule(self.net.clock.now + delay, tick)
 
     def balance_once(self) -> bool:
-        """One rebalance check; commits and reloads blocks when worthwhile."""
+        """One rebalance check; commits and loads blocks when worthwhile
+        (loading is instantaneous in virtual time)."""
         snap = self.board.snapshot()
         move = propose_rebalance(self.server_id, snap, self.n_blocks, self.cfg.rebalance)
         if move is None:
@@ -297,17 +290,7 @@ class BlockServer:
         self.start, self.end = move
         self.sessions.clear()       # block replacement resets attention caches
         self.block_moves += 1
-        load_s = self.cfg.load_time_s_per_block * (self.end - self.start)
-        if load_s > 0:
-            self.loading_until = self.net.clock.now + load_s
-            self.announce(STATE_JOINING)
-
-            def done() -> None:
-                self.loading_until = None
-                self.announce(STATE_ONLINE)
-            self.net.clock.schedule(self.loading_until, done)
-        else:
-            self.announce(STATE_ONLINE)
+        self.announce()
         return True
 
     # -- protocol ------------------------------------------------------------
@@ -362,9 +345,7 @@ class BlockServer:
                 del self.forward_records[key]
 
     def _not_serving(self, start: int, end: int) -> WireMessage | None:
-        """The refusal for blocks [start, end) this server does not hold loaded."""
-        if self.loading_until is not None and self.net.clock.now < self.loading_until:
-            return WireMessage(Error("not_serving", "loading blocks"))
+        """The refusal for blocks [start, end) this server does not hold."""
         if not (self.start <= start and end <= self.end and start < end):
             return WireMessage(Error(
                 "not_serving", f"serves [{self.start}, {self.end}), asked [{start}, {end})"))
@@ -395,7 +376,7 @@ class BlockServer:
             return WireMessage(Error("capacity", "sequence exceeds max_seq_len"))
         n_blocks = s.end - s.start
         rows = p.width * p.n_new
-        ctx.consume(self.cfg.compute.stage_seconds(n_blocks, rows, p.n_new == 1))
+        ctx.consume(self.cfg.stage_seconds(n_blocks, rows, p.n_new == 1))
         out = self.engine.run_cached(s.start, s.end, s.caches, p.blob,
                                      p.width, p.n_new, s.quantized)
         s.positions += p.n_new
@@ -417,7 +398,7 @@ class BlockServer:
         s.desynced = False
         if p.t > 0:
             n_blocks = s.end - s.start
-            ctx.consume(self.cfg.compute.stage_seconds(n_blocks, p.width * p.t, False))
+            ctx.consume(self.cfg.stage_seconds(n_blocks, p.width * p.t, False))
             out = self.engine.run_cached(s.start, s.end, s.caches, p.blob,
                                          p.width, p.t, s.quantized)
             s.positions = p.t
@@ -451,14 +432,10 @@ class BlockServer:
         if refusal is not None:
             return refusal
         rows = p.batch * p.tokens
-        ctx.consume(self.cfg.compute.stage_seconds(p.end - p.start, rows, False))
+        ctx.consume(self.cfg.stage_seconds(p.end - p.start, rows, False))
         record: list | None = [] if p.record else None
         out = self.engine.forward(p.start, p.end, p.blob, p.batch, p.tokens,
-                                  MICRO_BATCH_TOKENS, record)
-        if p.quantize_reply and not out.synthetic:
-            out = HiddenBlob.from_array(out.array(), quantized=True)
-        elif p.quantize_reply:
-            out = HiddenBlob.shape_only(out.rows, out.cols, quantized=True)
+                                  MICRO_BATCH_TOKENS, record, p.quantize_reply)
         if p.record:
             self.forward_records[(sid, p.req_id, p.start, p.end)] = record
             # one outstanding training pass per client session
@@ -477,6 +454,6 @@ class BlockServer:
             return WireMessage(Error("no_record",
                                      "no matching forward; repeat the pass"))
         rows = p.batch * p.tokens
-        ctx.consume(2 * self.cfg.compute.stage_seconds(p.end - p.start, rows, False))
+        ctx.consume(2 * self.cfg.stage_seconds(p.end - p.start, rows, False))
         out = self.engine.backward(p.start, p.end, p.blob, p.batch, p.tokens, record)
         return WireMessage(StepResult(0, out, p.batch, p.tokens))

@@ -50,11 +50,11 @@ def stage_intervals(n_blocks: int, n_stages: int) -> list[tuple[int, int]]:
 
 
 def _build(model: ModelConfig, profile: NetProfile, seed: int, engine: str,
-           entries: list[dict], trace: bool = False) -> SimSwarm:
+           entries: list[dict]) -> SimSwarm:
     """The one build loop: a directory, then each server entry in order
     (``ServerCfg`` fields plus ``churn``, ``drop_override`` and ``balancer``),
     registered and announcing."""
-    net = SimNetwork(seed=seed, default_profile=profile, trace=trace)
+    net = SimNetwork(seed=seed, default_profile=profile)
     board = DirectoryBoard(model.n_blocks, lambda: net.clock.now)
     net.register("directory", DirectoryHandler(board))
     shared_blocks = init_model(model)[0] if engine == "real" else None
@@ -83,8 +83,7 @@ def build_sim_swarm(model: ModelConfig | None = None,
                     compute_tokens_per_s: float = 100.0,
                     server_overrides: dict[str, dict] | None = None,
                     churn: dict[str, ChurnSchedule] | None = None,
-                    balancer: bool = False,
-                    trace: bool = False) -> SimSwarm:
+                    balancer: bool = False) -> SimSwarm:
     """Stand up a simulated swarm: one directory plus ``replicas`` servers per
     pipeline stage, all announced and ready to serve."""
     model = model or ModelConfig()
@@ -96,7 +95,7 @@ def build_sim_swarm(model: ModelConfig | None = None,
                             "compute_tokens_per_s": compute_tokens_per_s,
                             "churn": (churn or {}).get(sid), "balancer": balancer,
                             **(server_overrides or {}).get(sid, {})})
-    return _build(model, profile or NetProfile(), seed, engine, entries, trace)
+    return _build(model, profile or NetProfile(), seed, engine, entries)
 
 
 def build_swarm_from_config(config: dict | str) -> SimSwarm:

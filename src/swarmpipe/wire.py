@@ -145,8 +145,8 @@ class HiddenBlob:
 
 # reserved fields are written as 0 and ignored on decode; they keep every
 # frame the size it had in SWP1 and go with the next magic bump
-_OPEN = struct.Struct("<IIHBQI")      # start, end, width, flags, client_id, reserved
-_STEP = struct.Struct("<IHHQ")        # position_offset, width, n_new, reserved
+_OPEN = struct.Struct("<IIHB12x")    # start, end, width, flags, reserved
+_STEP = struct.Struct("<IHH8x")       # position_offset, width, n_new, reserved
 _RESTORE = struct.Struct("<IHB")      # t, width, want_outputs
 _FORWARD = struct.Struct("<QBIIII")   # req_id, flags, batch, tokens, start, end
 _BACKWARD = struct.Struct("<QIIII")   # req_id, batch, tokens, start, end
@@ -158,7 +158,6 @@ class OpenSession:
     end: int
     width: int = 1
     quantized: bool = False
-    client_id: int = 0
 
 
 @dataclass
@@ -282,10 +281,10 @@ def _canon_json(obj) -> bytes:
 def encode_payload(payload: Payload) -> bytes:
     if isinstance(payload, OpenSession):
         return _OPEN.pack(payload.start, payload.end, payload.width,
-                          1 if payload.quantized else 0, payload.client_id, 0)
+                          1 if payload.quantized else 0)
     if isinstance(payload, (Step, StepResult)):
-        return _STEP.pack(payload.position_offset, payload.width, payload.n_new,
-                          0) + payload.blob.encode()
+        return _STEP.pack(payload.position_offset, payload.width,
+                          payload.n_new) + payload.blob.encode()
     if isinstance(payload, Restore):
         return _RESTORE.pack(payload.t, payload.width,
                              1 if payload.want_outputs else 0) + payload.blob.encode()
@@ -309,10 +308,10 @@ def encode_payload(payload: Payload) -> bytes:
 
 def decode_payload(kind: Kind, buf: bytes) -> Payload:
     if kind == Kind.OPEN_SESSION:
-        start, end, width, flags, client_id, _ = _OPEN.unpack_from(buf)
-        return OpenSession(start, end, width, bool(flags & 1), client_id)
+        start, end, width, flags = _OPEN.unpack_from(buf)
+        return OpenSession(start, end, width, bool(flags & 1))
     if kind in (Kind.STEP, Kind.STEP_RESULT):
-        pos, width, n_new, _ = _STEP.unpack_from(buf)
+        pos, width, n_new = _STEP.unpack_from(buf)
         blob, _ = HiddenBlob.decode(buf, _STEP.size)
         cls = Step if kind == Kind.STEP else StepResult
         return cls(pos, blob, width, n_new)

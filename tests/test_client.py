@@ -8,7 +8,7 @@ from swarmpipe.errors import SwarmUnavailableError
 from swarmpipe.model import ModelConfig, reference_generate
 from swarmpipe.netsim import ChurnSchedule, NetProfile
 from swarmpipe.swarm import build_sim_swarm, build_swarm_from_config
-from swarmpipe.wire import OpenSession
+from swarmpipe.wire import Error, OpenSession, WireMessage
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +183,18 @@ class TestCommunicationAccounting:
         # prefix rows + one row per generated token, through each of 4 stages
         expect = (4 + 49) * cfg.hidden_dim * 4 * 4
         assert res.counters.step_activation_bytes == expect
+
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_timed_engine_matches_real_bytes_and_time(self, cfg, strategy, quantized):
+        runs = []
+        for engine in ("real", "timed"):
+            swarm = build_sim_swarm(cfg, seed=1, engine=engine)
+            res = swarm.client().generate([5, 6, 7], 8, strategy=strategy,
+                                          quantized=quantized)
+            runs.append((swarm.net.total_bytes(), res.elapsed_s))
+        assert runs[0] == runs[1]
 
 
 class TestQuantizedMode:

@@ -61,7 +61,7 @@ class TestQuantize:
 def _all_kind_messages(rng):
     h = rng.standard_normal((5, 64)).astype(np.float32)
     return [
-        WireMessage(OpenSession(0, 4, 2, True, 7), 3),
+        WireMessage(OpenSession(0, 4, 2, True), 3),
         WireMessage(Step(11, HiddenBlob.from_array(h), 1, 5), 3),
         WireMessage(StepResult(11, HiddenBlob.from_array(h, quantized=True), 1, 5), 3),
         WireMessage(Restore(5, HiddenBlob.from_array(h), 1, want_outputs=False), 3),
@@ -100,9 +100,9 @@ class TestFraming:
         assert back.payload.position_offset == 2
 
     def test_open_session_fields_survive(self):
-        m = WireMessage(OpenSession(1, 3, 4, True, 9), 5)
+        m = WireMessage(OpenSession(1, 3, 4, True), 5)
         back, _ = decode_frame(encode_frame(m))
-        assert back.payload == OpenSession(1, 3, 4, True, 9)
+        assert back.payload == OpenSession(1, 3, 4, True)
 
     def test_training_intervals_survive(self, rng):
         h = rng.standard_normal((5, 64)).astype(np.float32)

@@ -2,6 +2,7 @@
 
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -109,3 +110,28 @@ def test_peer_reset_closes_the_stream_quietly(tcp_swarm):
         conn.sendall(raw[:10])
     time.sleep(0.2)
     assert net.ping("cli", "s0") > 0
+
+
+def test_shutdown_stops_every_thread():
+    """Announce timers stop re-arming and listeners leave ``accept``: after
+    shutdown the process has the threads it had before the swarm."""
+    before = threading.active_count()
+    cfg = ModelConfig(seed=1)
+    net = RealNetwork(timeout_s=5.0)
+    board = DirectoryBoard(cfg.n_blocks, lambda: net.clock.now)
+    net.register("directory", DirectoryHandler(board))
+    blocks = init_model(cfg)[0]
+    for si, (a, b) in enumerate(stage_intervals(cfg.n_blocks, 4)):
+        srv = BlockServer(ServerCfg(f"s{si}", b - a, a), RealServerEngine(cfg, blocks),
+                          net, board)
+        net.register(f"s{si}", srv)
+        srv.start_timers()
+    time.sleep(0.2)
+    client = SwarmClient("cli", cfg, net, DirectoryClient(net, client_name="cli"))
+    assert client.generate([9, 8, 7], 4).tokens == reference_generate(cfg, [9, 8, 7], 4)
+    assert threading.active_count() > before
+    net.shutdown()
+    deadline = time.monotonic() + 5.0
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= before
