@@ -298,13 +298,17 @@ class SwarmClient:
 
     def _open_chain(self, quantized: bool, deadline: float | None) -> list[_Stage]:
         """Route a full chain and open width-1 sessions along it; an open
-        failure costs a ban and a fresh route."""
+        failure closes the hops already open and costs a ban and a fresh
+        route."""
         while True:
             chain = self._route_chain(0, self.config.n_blocks, deadline)
+            stages: list[_Stage] = []
             try:
-                return [self._open_session(_Stage(hop, 0), 1, quantized)
-                        for hop in chain.hops]
+                for hop in chain.hops:
+                    stages.append(self._open_session(_Stage(hop, 0), 1, quantized))
+                return stages
             except _StageFailure as f:
+                self._close_stages(stages)
                 if f.ban:
                     self._ban(f.server_id)
 
@@ -352,7 +356,8 @@ class SwarmClient:
     def _replace_failed_stage(self, failed: _Stage, width: int, quantized: bool,
                               counters: RunCounters, deadline: float | None) -> list[_Stage]:
         """Ban the failed server, route replacements for its blocks, and
-        rebuild their state from the client-side cache."""
+        rebuild their state from the client-side cache. As in ``_open_chain``,
+        a replacement that fails closes the ones already rebuilt."""
         self._ban(failed.server_id)
         counters.recoveries += 1
         hist = failed.lineage_matrix(self.config.hidden_dim, width)
@@ -362,8 +367,8 @@ class SwarmClient:
             self._check_deadline(deadline)
             counters.reroutes += 1
             seg = self._route_chain(failed.hop.start, failed.hop.end, deadline)
+            new_stages: list[_Stage] = []
             try:
-                new_stages: list[_Stage] = []
                 inputs = hist          # [width, t, d] or None (timed)
                 for n, hop in enumerate(seg.hops):
                     stage = _Stage(hop, 0, rows_sent=t)
@@ -374,6 +379,7 @@ class SwarmClient:
                     new_stages.append(stage)
                 return new_stages
             except _StageFailure as f2:
+                self._close_stages(new_stages)
                 if f2.ban:
                     self._ban(f2.server_id)
         raise SwarmUnavailableError("replacements kept failing")

@@ -123,6 +123,54 @@ class TestRecovery:
         with pytest.raises(SwarmUnavailableError):
             client.generate([5, 6, 7], 8)
 
+    def test_refused_open_closes_the_hops_already_open(self, cfg, oracle64):
+        """The third hop refuses OPEN_SESSION; the two hops opened before it
+        are closed before the client routes around the refusal."""
+        swarm = build_sim_swarm(cfg, seed=0)
+        srv = swarm.servers["s2a"]
+        handle, refused = srv.handle, []
+
+        def refuse_open(msg, ctx):
+            if isinstance(msg.payload, OpenSession):
+                refused.append(msg.session_id)
+                return WireMessage(Error("not_serving", "refusing for the test"))
+            return handle(msg, ctx)
+
+        srv.handle = refuse_open
+        res = swarm.client().generate([5, 6, 7], 8)
+        swarm.net.clock.advance(1.0)   # let the CLOSE posts land
+        assert refused and res.tokens == oracle64[:11]
+        assert {k: len(s.sessions) for k, s in swarm.servers.items() if s.sessions} == {}
+
+    def test_refused_replacement_closes_the_hops_already_rebuilt(self, cfg):
+        """s1a crashes and [2, 4) is replaced by h2 + h3; h3 refuses, so the
+        client routes h2 + h3b and closes the session it rebuilt on h2."""
+        swarm = build_sim_swarm(cfg, n_stages=4, replicas=1, seed=0,
+                                server_overrides={"s1a": {"crash_after_messages": 8}})
+        from swarmpipe.server import BlockServer, RealServerEngine, ServerCfg
+        for sid, start in (("h2", 2), ("h3", 3), ("h3b", 3)):
+            srv = BlockServer(ServerCfg(sid, 1, start), RealServerEngine(cfg),
+                              swarm.net, swarm.board)
+            swarm.net.register(sid, srv)
+            srv.start_timers()
+            swarm.servers[sid] = srv
+        swarm.net.clock.advance(0.1)
+        srv = swarm.servers["h3"]
+        handle, refused = srv.handle, []
+
+        def refuse_open(msg, ctx):
+            if isinstance(msg.payload, OpenSession):
+                refused.append(msg.session_id)
+                return WireMessage(Error("not_serving", "refusing for the test"))
+            return handle(msg, ctx)
+
+        srv.handle = refuse_open
+        res = swarm.client().generate([5, 6, 7], 32)
+        swarm.net.clock.advance(1.0)   # let the CLOSE posts land
+        assert refused and res.tokens == reference_generate(cfg, [5, 6, 7], 32)
+        assert [e[:2] for e in res.counters.restore_events] == [(2, 3), (2, 3), (3, 4)]
+        assert len(swarm.servers["h2"].sessions) == 0
+
     def test_ban_expires_and_server_returns(self, cfg, oracle64):
         swarm = build_sim_swarm(cfg, seed=0)
         client = swarm.client(ban_cooldown_s=5.0)
