@@ -25,7 +25,7 @@ RTT_SMOOTH_ALPHA = 0.5
 class WallClock:
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._timers: set[threading.Timer] = set()
+        self._timers: list[threading.Timer] = []
         self._stopped = False
 
     @property
@@ -39,24 +39,21 @@ class WallClock:
         time.sleep(max(0.0, t - self.now))
 
     def schedule(self, t: float, fn) -> None:
-        def fire() -> None:
-            with self._lock:
-                self._timers.discard(timer)
-            fn()
-        timer = threading.Timer(max(0.0, t - self.now), fire)
+        timer = threading.Timer(max(0.0, t - self.now), fn)
         timer.daemon = True
         with self._lock:
             if self._stopped:
                 return
-            self._timers.add(timer)
-        timer.start()
+            self._timers = [tm for tm in self._timers if tm.is_alive()]
+            self._timers.append(timer)
+            timer.start()
 
     def stop(self) -> None:
-        """Cancel every pending timer and refuse new ones."""
+        """Cancel every pending timer, wait for any that is running, and
+        refuse new ones."""
         with self._lock:
             self._stopped = True
-            timers, self._timers = self._timers, set()
-        for timer in timers:
+        for timer in self._timers:
             timer.cancel()
             timer.join()
 
