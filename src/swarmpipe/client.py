@@ -421,25 +421,28 @@ class SwarmClient:
         parents to reorder every stage by (None for one sequence) and the
         next token of every slot. With ``recover`` every stage keeps its
         history, which costs ``CACHE_OVERHEAD_S`` per stage per step."""
+        feed, width, n_in = list(prefix), 1, len(prefix)   # input tokens, slot-major
+
+        def step(stage, rows):      # reads the current width and n_in
+            return self._step_stage(stage, rows, width, n_in, quantized, counters, recover)
+
+        def reorder(stage, parents):
+            return self._reorder_stage(stage, parents, counters)
+
         stages = self._open_chain(quantized, deadline)
         try:
-            feed, width = [list(prefix)], 1
             for _ in range(n_new):
-                n_in = len(feed[0])
-                rows = self.engine.embed_array([t for slot in feed for t in slot])
-                step = partial(self._step_stage, width=width, n_new=n_in,
-                               quantized=quantized, counters=counters, record=recover)
-                out = self._walk(stages, step, rows, width, quantized, counters, deadline,
-                                 recover)
+                out = self._walk(stages, step, self.engine.embed_array(feed), width,
+                                 quantized, counters, deadline, recover)
                 counters.per_step_bytes.append(width * n_in * self.config.hidden_dim * 4
                                                * len(stages))
                 if recover:
                     self.clock.advance(CACHE_OVERHEAD_S * len(stages))
-                parents, toks = choose(out)
+                parents, feed = choose(out)
                 if parents is not None:
-                    self._walk(stages, partial(self._reorder_stage, counters=counters),
-                               parents, width, quantized, counters, deadline, recover)
-                feed, width = [[t] for t in toks], len(toks)
+                    self._walk(stages, reorder, parents, width, quantized, counters,
+                               deadline, recover)
+                width, n_in = len(feed), 1
         finally:
             self._close_stages(stages)
 

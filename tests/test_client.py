@@ -21,6 +21,21 @@ def oracle64(cfg):
     return reference_generate(cfg, [5, 6, 7], 64)
 
 
+def _refuse_opens(srv) -> list[int]:
+    """Make ``srv`` answer every OPEN_SESSION with ``not_serving``; returns
+    the list of refused session ids."""
+    handle, refused = srv.handle, []
+
+    def refuse_open(msg, ctx):
+        if isinstance(msg.payload, OpenSession):
+            refused.append(msg.session_id)
+            return WireMessage(Error("not_serving", "refusing for the test"))
+        return handle(msg, ctx)
+
+    srv.handle = refuse_open
+    return refused
+
+
 class TestFailureFree:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_matches_oracle_exactly(self, cfg, oracle64, strategy):
@@ -127,16 +142,7 @@ class TestRecovery:
         """The third hop refuses OPEN_SESSION; the two hops opened before it
         are closed before the client routes around the refusal."""
         swarm = build_sim_swarm(cfg, seed=0)
-        srv = swarm.servers["s2a"]
-        handle, refused = srv.handle, []
-
-        def refuse_open(msg, ctx):
-            if isinstance(msg.payload, OpenSession):
-                refused.append(msg.session_id)
-                return WireMessage(Error("not_serving", "refusing for the test"))
-            return handle(msg, ctx)
-
-        srv.handle = refuse_open
+        refused = _refuse_opens(swarm.servers["s2a"])
         res = swarm.client().generate([5, 6, 7], 8)
         swarm.net.clock.advance(1.0)   # let the CLOSE posts land
         assert refused and res.tokens == oracle64[:11]
@@ -155,16 +161,7 @@ class TestRecovery:
             srv.start_timers()
             swarm.servers[sid] = srv
         swarm.net.clock.advance(0.1)
-        srv = swarm.servers["h3"]
-        handle, refused = srv.handle, []
-
-        def refuse_open(msg, ctx):
-            if isinstance(msg.payload, OpenSession):
-                refused.append(msg.session_id)
-                return WireMessage(Error("not_serving", "refusing for the test"))
-            return handle(msg, ctx)
-
-        srv.handle = refuse_open
+        refused = _refuse_opens(swarm.servers["h3"])
         res = swarm.client().generate([5, 6, 7], 32)
         swarm.net.clock.advance(1.0)   # let the CLOSE posts land
         assert refused and res.tokens == reference_generate(cfg, [5, 6, 7], 32)
@@ -231,7 +228,6 @@ class TestCommunicationAccounting:
         # prefix rows + one row per generated token, through each of 4 stages
         expect = (4 + 49) * cfg.hidden_dim * 4 * 4
         assert res.counters.step_activation_bytes == expect
-
 
     @pytest.mark.parametrize("quantized", [False, True])
     @pytest.mark.parametrize("strategy", list(Strategy))
