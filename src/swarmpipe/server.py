@@ -53,12 +53,8 @@ class ServerCfg:
             raise ProtocolError("capacity must be >= 1")
         if self.compute_tokens_per_s <= 0:
             raise ProtocolError("compute rate must be > 0")
-
-    @property
-    def step_s_per_block(self) -> float:
-        """Virtual seconds of one single-position block forward (default
-        100 tokens/s -> 10 ms)."""
-        return 1.0 / self.compute_tokens_per_s
+        # virtual seconds of one single-position block forward (100 tokens/s -> 10 ms)
+        self.step_s_per_block = 1.0 / self.compute_tokens_per_s
 
     def stage_seconds(self, n_blocks: int, rows: int, single_position: bool) -> float:
         if single_position:
