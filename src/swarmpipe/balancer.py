@@ -12,10 +12,9 @@ total throughput of servers covering that block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-import numpy as np
-
-from .directory import STATE_OFFLINE, ServerInfo, block_load
+from .directory import STATE_OFFLINE, STATE_ONLINE, ServerInfo, block_load, coverage
 from .errors import ConfigurationError
 
 
@@ -40,26 +39,15 @@ def choose_start(n_blocks: int, capacity: int, loads: list[float]) -> int:
     """Best start for a capacity-sized window over the per-block loads.
 
     Compares sorted window load vectors lexicographically and returns the
-    leftmost start among minimums. Large inputs take a vectorized path with
-    identical results.
+    leftmost start among minimums.
     """
     if not (1 <= capacity <= n_blocks):
         raise ConfigurationError(f"capacity {capacity} not in [1, {n_blocks}]")
     if len(loads) != n_blocks:
         raise ConfigurationError("load vector length != n_blocks")
-    n_windows = n_blocks - capacity + 1
-    if n_windows * capacity >= 256:
-        arr = np.asarray(loads, dtype=np.float64)
-        windows = np.lib.stride_tricks.sliding_window_view(arr, capacity)
-        keys = np.sort(windows, axis=1)
-        # lexicographic minimum over sorted windows; the window index is the
-        # least-significant key, so ties resolve leftmost
-        order = np.lexsort((np.arange(n_windows),)
-                           + tuple(keys[:, c] for c in range(capacity - 1, -1, -1)))
-        return int(order[0])
     best_start = 0
     best_key = sorted(loads[0:capacity])
-    for start in range(1, n_windows):
+    for start in range(1, n_blocks - capacity + 1):
         key = sorted(loads[start:start + capacity])
         if key < best_key:
             best_key = key
@@ -67,16 +55,17 @@ def choose_start(n_blocks: int, capacity: int, loads: list[float]) -> int:
     return best_start
 
 
+def bottleneck(spans: Iterable[tuple[int, int, float]], n_blocks: int) -> float:
+    """Minimum over blocks of the (start, end, throughput) spans' coverage;
+    0 if any block is uncovered. Spans are summed in the order given."""
+    return min(coverage(spans, n_blocks), default=0.0)
+
+
 def swarm_throughput(snapshot: list[ServerInfo], n_blocks: int) -> float:
-    """Bottleneck rate over blocks; 0 if any block is uncovered. Only servers
-    actually holding blocks (online) count."""
-    cover = [0.0] * n_blocks
-    for r in snapshot:
-        if r.state != "online":
-            continue
-        for i in range(r.start, min(r.end, n_blocks)):
-            cover[i] += r.throughput
-    return min(cover) if cover else 0.0
+    """Bottleneck rate over blocks. Only servers actually holding blocks
+    (online) count."""
+    return bottleneck(((r.start, r.end, r.throughput) for r in snapshot
+                       if r.state == STATE_ONLINE), n_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +98,7 @@ def greedy_fixpoint(snapshot: list[ServerInfo], n_blocks: int,
             start = choose_start(n_blocks, cap, loads)
             if start != rec.start:
                 rec.start, rec.end = start, start + cap
-                rec.state = "online"
+                rec.state = STATE_ONLINE
                 moved = True
             for b in range(rec.start, rec.end):
                 loads[b] += rec.throughput
@@ -142,7 +131,7 @@ def propose_rebalance(self_id: str, snapshot: list[ServerInfo], n_blocks: int,
     for r in hyp:
         if r.server_id == self_id:
             r.start, r.end = start, start + cap
-            r.state = "online"
+            r.state = STATE_ONLINE
     eventual = swarm_throughput(greedy_fixpoint(hyp, n_blocks), n_blocks)
     if eventual >= (1.0 + config.threshold_pct / 100.0) * current and eventual > 0:
         return (start, start + cap)
@@ -272,10 +261,7 @@ def optimal_assignment_bruteforce(servers: list[tuple[int, float]], n_blocks: in
             hi = mid - 1
 
     # place leftovers greedily; cannot change the optimal min-coverage
-    cover = [0.0] * n_blocks
-    for i, (s, e) in best_assign.items():
-        for b in range(s, e):
-            cover[b] += thrs[i]
+    cover = coverage(((s, e, thrs[i]) for i, (s, e) in best_assign.items()), n_blocks)
     for i in range(n):
         if i not in best_assign:
             s = choose_start(n_blocks, caps[i], cover)
@@ -298,9 +284,8 @@ def greedy_join_assignment(servers: list[tuple[int, float]], n_blocks: int,
         assign[i] = (s, s + cap)
         for b in range(s, s + cap):
             loads[b] += thr
-    value = min((sum(servers[i][1] for i, (s, e) in assign.items() if s <= b < e)
-                 for b in range(n_blocks)), default=0.0)
-    return assign, value
+    return assign, bottleneck(((s, e, servers[i][1]) for i, (s, e) in assign.items()),
+                              n_blocks)
 
 
 def greedy_swarm_assignment(servers: list[tuple[int, float]], n_blocks: int,
@@ -314,6 +299,4 @@ def greedy_swarm_assignment(servers: list[tuple[int, float]], n_blocks: int,
                        servers[i][1]) for i in assign]
     fixed = greedy_fixpoint(snap, n_blocks)
     out = {int(r.server_id[1:]): (r.start, r.end) for r in fixed}
-    value = min((sum(servers[i][1] for i, (s, e) in out.items() if s <= b < e)
-                 for b in range(n_blocks)), default=0.0)
-    return out, value
+    return out, bottleneck(((s, e, servers[i][1]) for i, (s, e) in out.items()), n_blocks)

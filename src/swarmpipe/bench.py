@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .balancer import (greedy_join_assignment, optimal_assignment_bruteforce,
+from .balancer import (bottleneck, greedy_join_assignment, optimal_assignment_bruteforce,
                        propose_rebalance, RebalanceConfig, choose_start)
 from .client import Strategy
 from .directory import ServerInfo, block_load
@@ -218,11 +218,8 @@ class _PolicyState:
                 for i, (s, e) in sorted(self.intervals.items())]
 
     def throughput_value(self, thr: np.ndarray, n_blocks: int) -> float:
-        cover = [0.0] * n_blocks
-        for i, (s, e) in self.intervals.items():
-            for b in range(s, e):
-                cover[b] += float(thr[i])
-        return min(cover) if cover else 0.0
+        return bottleneck(((s, e, float(thr[i])) for i, (s, e) in self.intervals.items()),
+                          n_blocks)
 
 
 def run_load_balance_experiment(spec: ChurnStudySpec) -> ChurnStudyResult:

@@ -267,10 +267,6 @@ class SwarmClient:
         # the first stage receives client-computed embeddings, also exact
         return quantized and hop.start > 0
 
-    def _ban(self, server_id: str) -> None:
-        self.bans.ban(server_id)
-        self.graph.apply_update("ban", server_id)
-
     def _open_session(self, stage: _Stage, width: int, quantized: bool) -> _Stage:
         """Open a fresh session for ``stage``."""
         stage.session_id = self._new_sid()
@@ -310,7 +306,7 @@ class SwarmClient:
             except _StageFailure as f:
                 self._close_stages(stages)
                 if f.ban:
-                    self._ban(f.server_id)
+                    self.bans.ban(f.server_id)
 
     def _start_run(self, prefix: list[int], n_new: int, deadline_s: float | None):
         """Argument check shared by every generation entry point."""
@@ -358,7 +354,7 @@ class SwarmClient:
         """Ban the failed server, route replacements for its blocks, and
         rebuild their state from the client-side cache. As in ``_open_chain``,
         a replacement that fails closes the ones already rebuilt."""
-        self._ban(failed.server_id)
+        self.bans.ban(failed.server_id)
         counters.recoveries += 1
         hist = failed.lineage_matrix(self.config.hidden_dim, width)
         t = failed.rows_sent
@@ -381,7 +377,7 @@ class SwarmClient:
             except _StageFailure as f2:
                 self._close_stages(new_stages)
                 if f2.ban:
-                    self._ban(f2.server_id)
+                    self.bans.ban(f2.server_id)
         raise SwarmUnavailableError("replacements kept failing")
 
     def _walk(self, stages: list[_Stage], op, x, width: int, quantized: bool,
@@ -512,7 +508,7 @@ class SwarmClient:
                 attempts += 1
                 counters.restarts = attempts
                 if f.ban:
-                    self._ban(f.server_id)
+                    self.bans.ban(f.server_id)
                 if progress_probe is not None:
                     elapsed = self.clock.now - started
                     remaining = None if deadline is None else deadline - self.clock.now
@@ -556,7 +552,7 @@ class SwarmClient:
                     break
                 except _StageFailure as f:
                     if f.ban:
-                        self._ban(f.server_id)
+                        self.bans.ban(f.server_id)
                     counters.recoveries += 1
                     chain = self._route_chain(0, self.config.n_blocks, deadline)
             counters.per_step_bytes.append(t * self.config.hidden_dim * 4
@@ -652,7 +648,7 @@ class FinetuneSession:
             except _StageFailure as f:
                 self.counters.repeats += 1
                 if f.ban:
-                    self.client._ban(f.server_id)
+                    self.client.bans.ban(f.server_id)
         raise SwarmUnavailableError("fine-tune pass kept failing")
 
     def _one_pass(self, batch_tokens: np.ndarray, labels: np.ndarray, req_id: int):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import ProtocolError
 from .wire import Announce, Error, WireMessage
@@ -82,16 +82,22 @@ class DirectoryBoard:
                            "servers": [r.to_dict() for r in recs]}, sort_keys=True)
 
 
+def coverage(spans: Iterable[tuple[int, int, float]], n_blocks: int) -> list[float]:
+    """Per-block total throughput of the (start, end, throughput) spans that
+    contain the block, summed in the order given."""
+    t = [0.0] * n_blocks
+    for start, end, throughput in spans:
+        for i in range(start, min(end, n_blocks)):
+            t[i] += throughput
+    return t
+
+
 def block_load(snapshot: list[ServerInfo], n_blocks: int) -> list[float]:
     """t_i per block: total throughput of online-or-joining servers whose
     interval contains block i."""
-    t = [0.0] * n_blocks
-    for r in sorted(snapshot, key=lambda r: r.server_id):
-        if r.state == STATE_OFFLINE:
-            continue
-        for i in range(r.start, min(r.end, n_blocks)):
-            t[i] += r.throughput
-    return t
+    return coverage(((r.start, r.end, r.throughput)
+                     for r in sorted(snapshot, key=lambda r: r.server_id)
+                     if r.state != STATE_OFFLINE), n_blocks)
 
 
 class BanList:

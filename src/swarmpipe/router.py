@@ -1,17 +1,18 @@
-"""Chain routing: shortest server chains over block boundaries, maintained
-incrementally across server joins, leaves, bans, and latency changes.
+"""Chain routing: shortest server chains over block boundaries, solved from
+the current server set on every query.
 
 Nodes are block boundaries 0..L. A server holding [a, b) contributes an edge
-i -> j for every sub-interval a <= i < j <= b with weight
+i -> j for every sub-interval a <= i < j <= b with weight ``edge_cost``:
 rtt + (j - i) * 1000 / throughput milliseconds (per-step, single-token
-regime). The graph is a DAG ordered by boundary, so cost-to-go values repair
-by walking left from the highest boundary an update touched; a query after
-any update sequence returns exactly what a from-scratch computation would.
+regime). The graph is a DAG ordered by boundary, so one right-to-left
+cost-to-go pass over [start, end) finds the cheapest chain; updates only edit
+the server set, and a query after any update sequence returns exactly what a
+fresh Dijkstra would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NoRouteError, ProtocolError
 
@@ -56,14 +57,11 @@ def edge_cost(throughput: float, n_blocks: int, client_rtt_ms: float) -> float:
 
 
 class RoutingGraph:
-    """Lifelong routing state for one client."""
+    """One client's routing view: the servers it may route through."""
 
     def __init__(self, n_blocks: int):
         self.n_blocks = n_blocks
         self.servers: dict[str, ServerRoute] = {}
-        self._g: list[float] = [_INF] * n_blocks + [0.0]
-        self._choice: list[tuple[str, int] | None] = [None] * (n_blocks + 1)
-        self._dirty_hi = n_blocks  # boundaries < dirty_hi need repair
 
     # -- updates -------------------------------------------------------------
 
@@ -72,19 +70,13 @@ class RoutingGraph:
         ServerRoute for join/latency_change, a server id otherwise."""
         if event in ("join", "latency_change"):
             route: ServerRoute = arg
-            old = self.servers.get(route.server_id)
-            if old is not None:
-                self._dirty_hi = max(self._dirty_hi, old.end)
             if not (0 <= route.start < route.end <= self.n_blocks):
                 raise ProtocolError("route interval out of range")
             if route.throughput <= 0:
                 raise ProtocolError("route throughput must be > 0")
             self.servers[route.server_id] = route
-            self._dirty_hi = max(self._dirty_hi, route.end)
         elif event in ("leave", "ban"):
-            old = self.servers.pop(arg, None)
-            if old is not None:
-                self._dirty_hi = max(self._dirty_hi, old.end)
+            self.servers.pop(arg, None)
         else:
             raise ProtocolError(f"unknown router event {event}")
 
@@ -101,62 +93,40 @@ class RoutingGraph:
 
     # -- queries --------------------------------------------------------------
 
-    def _relax(self, i: int, g: list[float], choice: list, lo: int, hi: int) -> None:
-        best = _INF
-        pick = None
-        for sid in sorted(self.servers):
-            r = self.servers[sid]
-            if not (r.start <= i < r.end):
-                continue
-            per_block = 1000.0 / r.throughput
-            for j in range(i + 1, min(r.end, hi) + 1):
-                w = r.rtt_ms + (j - i) * per_block
-                c = w + g[j - lo]
-                if c < best:
-                    best = c
-                    pick = (sid, j)
-        g[i - lo] = best
-        choice[i - lo] = pick
-
-    def _repair(self) -> None:
-        for i in range(min(self._dirty_hi, self.n_blocks) - 1, -1, -1):
-            self._relax(i, self._g, self._choice, 0, self.n_blocks)
-        self._dirty_hi = 0
+    def _solve(self, start: int, end: int) -> tuple[list[float], list]:
+        """Cost-to-go from every boundary of [start, end) to ``end``, and the
+        first hop (route, next boundary) that achieves it; both indexed from
+        ``start``. Ties go to the lower server id, then the shorter hop."""
+        g = [_INF] * (end - start) + [0.0]
+        choice: list[tuple[ServerRoute, int] | None] = [None] * (end - start + 1)
+        routes = [self.servers[sid] for sid in sorted(self.servers)]
+        for i in range(end - 1, start - 1, -1):
+            best, pick = _INF, None
+            for r in routes:
+                if r.start <= i < r.end:
+                    for j in range(i + 1, min(r.end, end) + 1):
+                        c = edge_cost(r.throughput, j - i, r.rtt_ms) + g[j - start]
+                        if c < best:
+                            best, pick = c, (r, j)
+            g[i - start], choice[i - start] = best, pick
+        return g, choice
 
     def best_cost(self, start: int = 0, end: int | None = None) -> float:
         """Minimum chain cost covering [start, end); inf if uncoverable."""
-        end = self.n_blocks if end is None else end
-        if (start, end) == (0, self.n_blocks):
-            self._repair()
-            return self._g[0]
-        g, _ = self._scoped(start, end)
-        return g[0]
-
-    def _scoped(self, start: int, end: int) -> tuple[list[float], list]:
-        g = [_INF] * (end - start) + [0.0]
-        choice: list[tuple[str, int] | None] = [None] * (end - start + 1)
-        for i in range(end - 1, start - 1, -1):
-            self._relax(i, g, choice, start, end)
-        return g, choice
+        return self._solve(start, self.n_blocks if end is None else end)[0][0]
 
     def find_best_chain(self, start: int = 0, end: int | None = None) -> Chain:
         """Minimum-cost chain of server spans covering [start, end)."""
         end = self.n_blocks if end is None else end
         if not (0 <= start < end <= self.n_blocks):
             raise ProtocolError(f"needed interval [{start}, {end}) out of range")
-        if (start, end) == (0, self.n_blocks):
-            self._repair()
-            g, choice, lo = self._g, self._choice, 0
-        else:
-            g, choice = self._scoped(start, end)
-            lo = start
-        if g[start - lo] == _INF:
+        g, choice = self._solve(start, end)
+        if g[0] == _INF:
             raise NoRouteError(f"no chain covers [{start}, {end})")
         hops: list[Hop] = []
         i = start
         while i < end:
-            sid, j = choice[i - lo]
-            r = self.servers[sid]
-            hops.append(Hop(sid, i, j, r.rtt_ms + (j - i) * 1000.0 / r.throughput))
+            r, j = choice[i - start]
+            hops.append(Hop(r.server_id, i, j, edge_cost(r.throughput, j - i, r.rtt_ms)))
             i = j
-        return Chain(hops, g[start - lo])
+        return Chain(hops, g[0])
