@@ -21,7 +21,6 @@ from .errors import ConfigurationError
 @dataclass
 class RebalanceConfig:
     threshold_pct: float = 20.0
-    check_period_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.threshold_pct <= 0:
@@ -76,8 +75,7 @@ def _loads_excluding(snapshot: list[ServerInfo], n_blocks: int, exclude: str) ->
     return block_load([r for r in snapshot if r.server_id != exclude], n_blocks)
 
 
-def greedy_fixpoint(snapshot: list[ServerInfo], n_blocks: int,
-                    max_sweeps: int | None = None) -> list[ServerInfo]:
+def greedy_fixpoint(snapshot: list[ServerInfo], n_blocks: int) -> list[ServerInfo]:
     """Cascade simulation: every server repeatedly re-applies the placement
     rule to the hypothetical state, in ascending server-id order, until no one
     moves or 2x the server count of sweeps have run. Loads are maintained
@@ -86,8 +84,7 @@ def greedy_fixpoint(snapshot: list[ServerInfo], n_blocks: int,
                                      r.throughput, r.state, r.announced_at)
              for r in snapshot if r.state != STATE_OFFLINE}
     order = sorted(state)
-    limit = max_sweeps if max_sweeps is not None else 2 * max(1, len(order))
-    for _ in range(limit):
+    for _ in range(2 * max(1, len(order))):
         moved = False
         loads = block_load(list(state.values()), n_blocks)
         for sid in order:

@@ -96,7 +96,7 @@ def write_records(records: list[RunRecord], out_path: str) -> tuple[str, str]:
 # experiment 1: failure-rate grid
 # ---------------------------------------------------------------------------
 
-def _hopeless_restart_probe(p: float, n_stages: int, length: int, budget_s: float):
+def _hopeless_restart_probe(p: float, n_stages: int, length: int):
     """Give up on a restart cell once the chance of ever finishing within the
     remaining budget is negligible. The per-attempt success probability is
     exact for the per-send Bernoulli drop process: every generated token
@@ -123,7 +123,7 @@ def run_failure_rate_cell(spec: ExperimentSpec, p: float, length: int,
                             profile=profile, engine=spec.engine, seed=cell_seed)
     client = swarm.client()
     prefix = list(range(1, spec.prefix_len + 1))
-    probe = (_hopeless_restart_probe(p, spec.n_stages, length, spec.budget_s)
+    probe = (_hopeless_restart_probe(p, spec.n_stages, length)
              if strategy == Strategy.RESTART else None)
     started = swarm.net.clock.now
     wall0 = time.perf_counter()

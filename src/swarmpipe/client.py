@@ -103,11 +103,11 @@ class RealClientEngine:
     def embed_array(self, tokens: list[int]) -> np.ndarray:
         return self.params.embedding[np.asarray(tokens, dtype=np.intp)].copy()
 
-    def pick(self, final_rows: np.ndarray, mode: str, rng, top_k) -> int:
+    def pick(self, final_rows: np.ndarray, mode: str, rng) -> int:
         logits = M.logits_for(self.params, final_rows[-1])
         if mode == "greedy":
             return M.greedy_pick(logits)
-        return M.sample_pick(logits, rng, top_k)
+        return M.sample_pick(logits, rng)
 
     def logits(self, rows: np.ndarray) -> np.ndarray:
         return M.logits_for(self.params, rows)
@@ -123,7 +123,7 @@ class TimedClientEngine:
     def embed_array(self, tokens: list[int]) -> None:
         return None
 
-    def pick(self, final_rows, mode: str, rng, top_k) -> int:
+    def pick(self, final_rows, mode: str, rng) -> int:
         return 0
 
 
@@ -446,9 +446,8 @@ class SwarmClient:
 
     def generate(self, prefix: list[int], n_new: int, mode: str = "greedy",
                  strategy: Strategy = Strategy.DUAL_CACHE,
-                 sample_seed: int | None = None, top_k: int | None = None,
-                 quantized: bool = False, deadline_s: float | None = None,
-                 progress_probe=None,
+                 sample_seed: int | None = None, quantized: bool = False,
+                 deadline_s: float | None = None, progress_probe=None,
                  teacher_tokens: list[int] | None = None) -> GenerateResult:
         """Generate ``n_new`` tokens after ``prefix`` through the swarm.
         Returns the full token sequence (prefix included) plus counters.
@@ -464,7 +463,7 @@ class SwarmClient:
             raise ConfigurationError("teacher forcing runs on the dual-cache path")
         if teacher_tokens is not None and len(teacher_tokens) < n_new:
             raise ConfigurationError("need one teacher token per step")
-        chooser = partial(self._chooser, prefix, mode, sample_seed, top_k, teacher_tokens)
+        chooser = partial(self._chooser, prefix, mode, sample_seed, teacher_tokens)
         try:
             if strategy == Strategy.CACHELESS:
                 tokens = self._generate_cacheless(chooser, n_new, quantized, counters,
@@ -478,15 +477,14 @@ class SwarmClient:
             raise
         return GenerateResult(tokens, counters, self.clock.now - started)
 
-    def _chooser(self, prefix, mode, sample_seed, top_k, teacher_tokens):
+    def _chooser(self, prefix, mode, sample_seed, teacher_tokens):
         """A fresh token list (the prefix) and the ``choose`` that appends the
         engine's pick to it and feeds back that pick or the teacher's token."""
         rng = np.random.Generator(np.random.PCG64(sample_seed))
         tokens = list(prefix)
 
         def choose(out):
-            tokens.append(self.engine.pick(out[0] if out is not None else None,
-                                           mode, rng, top_k))
+            tokens.append(self.engine.pick(out[0] if out is not None else None, mode, rng))
             feed = (tokens[-1] if teacher_tokens is None
                     else teacher_tokens[len(tokens) - len(prefix) - 1])
             return None, [feed]

@@ -395,14 +395,9 @@ def greedy_pick(logits: np.ndarray) -> int:
     return int(np.argmax(logits))
 
 
-def sample_pick(logits: np.ndarray, rng: np.random.Generator, top_k: int | None = None) -> int:
+def sample_pick(logits: np.ndarray, rng: np.random.Generator) -> int:
     """Seeded categorical sampling over float64 softmax probabilities."""
     z = logits.astype(np.float64)
-    if top_k is not None and top_k < z.size:
-        keep = np.argpartition(z, -top_k)[-top_k:]
-        masked = np.full_like(z, -np.inf)
-        masked[keep] = z[keep]
-        z = masked
     z = z - z.max()
     p = np.exp(z)
     p /= p.sum()
@@ -433,8 +428,7 @@ class _LocalRunner:
 
 
 def reference_generate(config: ModelConfig, prefix: list[int], n_new: int,
-                       mode: str = "greedy", sample_seed: int | None = None,
-                       top_k: int | None = None) -> list[int]:
+                       mode: str = "greedy", sample_seed: int | None = None) -> list[int]:
     """Ground-truth generation: embed -> all blocks with KV cache -> unembed.
 
     Returns prefix + generated tokens. ``mode`` is "greedy" or "sample"
@@ -456,7 +450,7 @@ def reference_generate(config: ModelConfig, prefix: list[int], n_new: int,
     for _ in range(n_new):
         y = runner.step(x)
         logits = logits_for(client, y[0, -1])
-        tok = greedy_pick(logits) if mode == "greedy" else sample_pick(logits, rng, top_k)
+        tok = greedy_pick(logits) if mode == "greedy" else sample_pick(logits, rng)
         out.append(tok)
         x = embed_tokens(client, [tok]).data[None]
     return out

@@ -186,8 +186,11 @@ class SimNetwork:
         return sum(s.bytes for s in self.links.values())
 
     def _record(self, *event) -> None:
+        """Trace (now, *event) when tracing is on; a message is traced by its
+        kind name, resolved only then."""
         if self.trace_enabled:
-            self.trace.append(event)
+            self.trace.append((self.clock.now,) + tuple(
+                e.kind.name if isinstance(e, WireMessage) else e for e in event))
 
     def _drop_prob(self, ep: _Endpoint) -> float:
         return ep.drop_override if ep.drop_override is not None else ep.profile.failure_prob
@@ -200,18 +203,18 @@ class SimNetwork:
         the delivery effect runs from the agenda at arrival time."""
         ep = self._endpoints.get(dst)
         if ep is None or not self.online(dst):
-            self._record(self.clock.now, "conn_fail", src, dst, msg.kind.name)
+            self._record("conn_fail", src, dst, msg)
             raise ConnectionFailed(f"{dst} is offline")
         nbytes = framed_nbytes(msg)
         if self._rng.random() < self._drop_prob(ep):
             self._link(src, dst).drops += 1
-            self._record(self.clock.now, "drop", src, dst, msg.kind.name, nbytes)
+            self._record("drop", src, dst, msg, nbytes)
             return False
         st = self._link(src, dst)
         st.messages += 1
         st.bytes += nbytes
         t_arrive = self.clock.now + ep.profile.one_way_s() + ep.profile.transfer_s(nbytes)
-        self._record(self.clock.now, "send", src, dst, msg.kind.name, nbytes, t_arrive)
+        self._record("send", src, dst, msg, nbytes, t_arrive)
 
         def deliver() -> None:
             if self.online(dst):
@@ -231,19 +234,19 @@ class SimNetwork:
         req_bytes = framed_nbytes(msg)
         if ep is None or not self.online(dst, self.clock.now + profile.one_way_s()):
             self.clock.advance(profile.rtt_ms / 1000.0)
-            self._record(self.clock.now, "conn_fail", src, dst, msg.kind.name)
+            self._record("conn_fail", src, dst, msg)
             raise ConnectionFailed(f"{dst} is offline")
 
         # request leg
         if self._rng.random() < self._drop_prob(ep):
             self._link(src, dst).drops += 1
-            self._record(self.clock.now, "drop", src, dst, msg.kind.name, req_bytes)
+            self._record("drop", src, dst, msg, req_bytes)
             self.clock.advance(profile.detect_s(req_bytes))
             raise MessageDropped(f"request {msg.kind.name} to {dst} lost")
         st = self._link(src, dst)
         st.messages += 1
         st.bytes += req_bytes
-        self._record(self.clock.now, "send", src, dst, msg.kind.name, req_bytes)
+        self._record("send", src, dst, msg, req_bytes)
         self.clock.advance(profile.one_way_s() + profile.transfer_s(req_bytes))
 
         # handler compute (may advance the clock via ctx.consume)
@@ -251,7 +254,7 @@ class SimNetwork:
             reply = ep.handler.handle(msg, HandlerContext(self, src, dst))
         except SimulatedCrash:
             ep.crashed = True
-            self._record(self.clock.now, "crash", dst)
+            self._record("crash", dst)
             self.clock.advance(profile.detect_s(0))
             raise ConnectionFailed(f"{dst} crashed mid-request")
         reply.session_id = msg.session_id
@@ -260,13 +263,13 @@ class SimNetwork:
         rep_bytes = framed_nbytes(reply)
         if self._rng.random() < self._drop_prob(ep):
             self._link(dst, src).drops += 1
-            self._record(self.clock.now, "drop", dst, src, reply.kind.name, rep_bytes)
+            self._record("drop", dst, src, reply, rep_bytes)
             self.clock.advance(profile.detect_s(rep_bytes))
             raise MessageDropped(f"reply {reply.kind.name} from {dst} lost")
         st = self._link(dst, src)
         st.messages += 1
         st.bytes += rep_bytes
-        self._record(self.clock.now, "send", dst, src, reply.kind.name, rep_bytes)
+        self._record("send", dst, src, reply, rep_bytes)
         self.clock.advance(profile.one_way_s() + profile.transfer_s(rep_bytes))
         return reply
 

@@ -35,6 +35,7 @@ from .wire import (Announce, Backward, Close, Error, Forward, HiddenBlob,
 
 SESSION_TTL_S = 300.0
 BATCH_S_PER_ROW = 0.0005    # virtual seconds per block per row of a batched pass
+REBALANCE_PERIOD_S = 60.0   # virtual seconds between a server's rebalance checks
 
 
 @dataclass
@@ -265,10 +266,9 @@ class BlockServer:
         self.net.clock.schedule(self.net.clock.now + ANNOUNCE_PERIOD_S, tick)
 
     def _schedule_balance(self) -> None:
-        period = self.cfg.rebalance.check_period_s
         first = not hasattr(self, "_balance_started")
         self._balance_started = True
-        delay = period * (1.0 + self._phase()) if first else period
+        delay = REBALANCE_PERIOD_S * (1.0 + self._phase()) if first else REBALANCE_PERIOD_S
 
         def tick() -> None:
             if self.net.online(self.server_id):

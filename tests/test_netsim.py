@@ -175,3 +175,35 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         assert self._trace(7)[0] != self._trace(8)[0]
+
+    def test_trace_names_each_message_kind(self):
+        net, _ = _net(trace=True)
+        ping, pong = WireMessage(Ping()), WireMessage(Pong())
+        net.rpc("c", "srv", ping)
+        with pytest.raises(ConnectionFailed):
+            net.rpc("c", "nowhere", ping)
+        assert [e[1:] for e in net.trace] == [
+            ("send", "c", "srv", "PING", framed_nbytes(ping)),
+            ("send", "srv", "c", "PONG", framed_nbytes(pong)),
+            ("conn_fail", "c", "nowhere", "PING")]
+        assert net.trace[0][0] == 0.0 < net.trace[1][0]
+
+    def test_untraced_network_never_reads_message_kinds(self):
+        class Counted(WireMessage):
+            reads = 0
+
+            @property
+            def kind(self):
+                Counted.reads += 1
+                return super().kind
+
+        class Replier:
+            def handle(self, msg, ctx):
+                return Counted(Pong())
+
+        net = SimNetwork(seed=0)
+        net.register("srv", Replier())
+        net.rpc("c", "srv", Counted(Ping()))
+        net.post("c", "srv", Counted(Ping()))
+        net.clock.advance(1.0)
+        assert Counted.reads == 0 and net.trace == []
