@@ -415,8 +415,9 @@ class SwarmClient:
         the run finishes. ``choose(out)`` gets the final stage's rows
         ``[width, n, d]`` (None on the timed engine) and returns the beam
         parents to reorder every stage by (None for one sequence) and the
-        next token of every slot. With ``recover`` every stage keeps its
-        history, which costs ``CACHE_OVERHEAD_S`` per stage per step."""
+        next token of every slot; no reorder follows the last step, whose
+        sessions close next. With ``recover`` every stage keeps its history,
+        which costs ``CACHE_OVERHEAD_S`` per stage per step."""
         feed, width, n_in = list(prefix), 1, len(prefix)   # input tokens, slot-major
 
         def step(stage, rows):      # reads the current width and n_in
@@ -427,7 +428,7 @@ class SwarmClient:
 
         stages = self._open_chain(quantized, deadline)
         try:
-            for _ in range(n_new):
+            for i in range(n_new):
                 out = self._walk(stages, step, self.engine.embed_array(feed), width,
                                  quantized, counters, deadline, recover)
                 counters.per_step_bytes.append(width * n_in * self.config.hidden_dim * 4
@@ -435,7 +436,7 @@ class SwarmClient:
                 if recover:
                     self.clock.advance(CACHE_OVERHEAD_S * len(stages))
                 parents, feed = choose(out)
-                if parents is not None:
+                if parents is not None and i < n_new - 1:
                     self._walk(stages, reorder, parents, width, quantized, counters,
                                deadline, recover)
                 width, n_in = len(feed), 1

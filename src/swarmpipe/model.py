@@ -485,8 +485,8 @@ def reference_beam(config: ModelConfig, prefix: list[int], n_new: int, k: int
     """Local beam-search oracle: k ranked (tokens, score) hypotheses.
 
     Mirrors the distributed procedure exactly: width-1 prefill, then the
-    prefix cache is cloned k ways and each step gathers caches by the
-    selected parents.
+    prefix cache is cloned k ways and each step but the last gathers caches
+    by the selected parents.
     """
     if not prefix:
         raise ConfigurationError("prefix must be non-empty")
@@ -497,18 +497,13 @@ def reference_beam(config: ModelConfig, prefix: list[int], n_new: int, k: int
     blocks, client = init_model(config)
     runner = _LocalRunner(config, blocks)
 
-    x = embed_tokens(client, prefix).data[None]
-    y = runner.step(x)
-    logits = logits_for(client, y[:, -1])              # [1, vocab]
-    parents, tokens, scores = beam_select(np.zeros(1), logits, k)
-    runner.reorder(parents)                            # width 1 -> k clones
-    hyps = [list(prefix) + [t] for t in tokens]
-
-    for _ in range(n_new - 1):
-        x = np.stack([embed_tokens(client, [h[-1]]).data for h in hyps])  # [k, 1, d]
+    hyps, scores = [list(prefix)], np.zeros(1)
+    x = embed_tokens(client, prefix).data[None]        # [1, t, d]
+    for i in range(n_new):
         y = runner.step(x)
-        logits = logits_for(client, y[:, -1])
-        parents, tokens, scores = beam_select(scores, logits, k)
-        runner.reorder(parents)
+        parents, tokens, scores = beam_select(scores, logits_for(client, y[:, -1]), k)
         hyps = [hyps[p] + [t] for p, t in zip(parents, tokens)]
+        if i < n_new - 1:
+            runner.reorder(parents)                    # the first turns width 1 into k clones
+            x = np.stack([embed_tokens(client, [h[-1]]).data for h in hyps])  # [k, 1, d]
     return [(h, float(s)) for h, s in zip(hyps, scores)]

@@ -76,3 +76,20 @@ def test_cut_off_beam_closes_its_sessions(cfg):
         swarm.client().beam_generate([4, 2], 16, k=4, deadline_s=1.0)
     swarm.net.clock.advance(1.0)   # let the CLOSE posts land
     assert sum(len(s.sessions) for s in swarm.servers.values()) == 0
+
+
+def test_no_reorder_after_the_last_step(cfg):
+    """Every step but the last reorders each of the 4 stages: 15 x 4 REORDERs
+    for 16 tokens, none after the final STEP, whose sessions close next."""
+    swarm = build_sim_swarm(cfg, seed=0)
+    seen = []
+    for srv in swarm.servers.values():
+        def spy(msg, ctx, handle=srv.handle):
+            seen.append(type(msg.payload).__name__)
+            return handle(msg, ctx)
+        srv.handle = spy
+    res = swarm.client().beam_generate([4, 2], 16, k=4)
+    assert seen.count("Reorder") == 60
+    last_step = max(i for i, kind in enumerate(seen) if kind == "Step")
+    assert "Reorder" not in seen[last_step:]
+    assert [h for h, _ in res.beams] == [h for h, _ in reference_beam(cfg, [4, 2], 16, k=4)]
