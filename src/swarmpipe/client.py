@@ -417,7 +417,8 @@ class SwarmClient:
         parents to reorder every stage by (None for one sequence) and the
         next token of every slot; no reorder follows the last step, whose
         sessions close next. With ``recover`` every stage keeps its history,
-        which costs ``CACHE_OVERHEAD_S`` per stage per step."""
+        which charges ``CACHE_OVERHEAD_S`` per stage per step to the clock:
+        virtual time on the simulator, nothing on the TCP wall clock."""
         feed, width, n_in = list(prefix), 1, len(prefix)   # input tokens, slot-major
 
         def step(stage, rows):      # reads the current width and n_in
@@ -434,7 +435,7 @@ class SwarmClient:
                 counters.per_step_bytes.append(width * n_in * self.config.hidden_dim * 4
                                                * len(stages))
                 if recover:
-                    self.clock.advance(CACHE_OVERHEAD_S * len(stages))
+                    self.clock.charge(CACHE_OVERHEAD_S * len(stages))
                 parents, feed = choose(out)
                 if parents is not None and i < n_new - 1:
                     self._walk(stages, reorder, parents, width, quantized, counters,

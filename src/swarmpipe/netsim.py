@@ -11,7 +11,9 @@ virtual clock, so detection never false-positives and every run with the same
 seed replays the same trace, byte counts, and failure positions.
 
 Blocking exchanges (``rpc``) advance the clock through request delivery,
-handler compute (handlers call ``ctx.consume``), and the reply leg. Fire-and-
+handler compute, and the reply leg. Handlers spend compute with
+``ctx.consume``, which charges the clock (``VirtualClock.charge``: the same
+as ``advance`` here, free on the TCP transport's wall clock). Fire-and-
 forget sends (``post``) schedule their delivery effect on the clock agenda
 without blocking; timers (announce loops, TTL sweeps, churn transitions) run
 the same way and interleave deterministically with client traffic.
@@ -98,6 +100,11 @@ class VirtualClock:
     def advance(self, dt: float) -> None:
         self.advance_to(self.now + dt)
 
+    def charge(self, dt: float) -> None:
+        """Spend modelled work time (compute, bookkeeping). On virtual time
+        that is time passing, exactly as ``advance``."""
+        self.advance_to(self.now + dt)
+
 
 class SimulatedCrash(Exception):
     """Raised by a handler's failure-injection hook: the server dies mid-request."""
@@ -115,9 +122,9 @@ class LinkStats:
 
 
 class HandlerContext:
-    """What a handler sees while serving one message."""
+    """What a handler sees while serving one message, on either transport."""
 
-    def __init__(self, net: "SimNetwork", src: str, dst: str):
+    def __init__(self, net, src: str, dst: str):
         self.net = net
         self.src = src
         self.dst = dst
@@ -127,9 +134,9 @@ class HandlerContext:
         return self.net.clock.now
 
     def consume(self, seconds: float) -> None:
-        """Spend virtual compute time inside the handler."""
+        """Charge modelled compute time to the network's clock."""
         if seconds > 0:
-            self.net.clock.advance(seconds)
+            self.net.clock.charge(seconds)
 
 
 @dataclass

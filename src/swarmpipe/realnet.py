@@ -4,6 +4,11 @@ One listener thread per node, one worker thread per accepted connection;
 handler execution is serialized per node with a lock (sessions stay isolated,
 and node-level concurrency is not what this artifact benchmarks). Client-side
 latency estimates come from PING round trips smoothed with alpha = 0.5.
+
+Time is the wall clock. Modelled costs (server compute charged through
+``ctx.consume``, the client's cache bookkeeping) go to ``WallClock.charge``,
+which returns at once: real work already takes real time. Only ``advance``
+waits, and only the client's reroute backoff calls it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,10 @@ class WallClock:
 
     def advance_to(self, t: float) -> None:
         time.sleep(max(0.0, t - self.now))
+
+    def charge(self, dt: float) -> None:
+        """Modelled work time costs nothing here: real work already spent
+        real time."""
 
     def schedule(self, t: float, fn) -> None:
         timer = threading.Timer(max(0.0, t - self.now), fn)
@@ -76,11 +85,6 @@ def _recv_frame(conn: socket.socket) -> WireMessage:
     return msg
 
 
-class _HandlerCtx(HandlerContext):
-    def consume(self, seconds: float) -> None:
-        pass   # real compute spends real time
-
-
 class RealNetwork:
     """Duck-typed drop-in for SimNetwork over loopback/LAN TCP."""
 
@@ -93,8 +97,8 @@ class RealNetwork:
         self._listeners: dict[str, "_Listener"] = {}
         self._rtt_ms: dict[str, float] = {}
 
-    def register(self, name: str, handler, host: str = "127.0.0.1", port: int = 0,
-                 **_ignored) -> tuple[str, int]:
+    def register(self, name: str, handler, host: str = "127.0.0.1",
+                 port: int = 0) -> tuple[str, int]:
         lst = _Listener(self, name, handler, host, port)
         self._listeners[name] = lst
         self._addrs[name] = lst.bound
@@ -200,7 +204,7 @@ class _Listener:
                 except (ConnectionFailed, ProtocolError, OSError):
                     return   # bad, closed or reset stream: drop the connection
                 with self._lock:
-                    reply = self.handler.handle(msg, _HandlerCtx(self.net, "peer", self.name))
+                    reply = self.handler.handle(msg, HandlerContext(self.net, "peer", self.name))
                 frame = b""
                 if reply is not None:
                     reply.session_id = msg.session_id

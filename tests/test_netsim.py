@@ -29,13 +29,17 @@ def _net(p=0.0, seed=0, rtt=10.0, bw=1e9, **kw):
 
 
 class TestClock:
-    def test_agenda_order(self):
+    @pytest.mark.parametrize("move", ["advance_to", "advance", "charge"])
+    def test_agenda_order(self, move):
+        """Passing time and charging modelled time run the same due timers,
+        in order, and end at the same instant."""
         clock = VirtualClock()
+        clock.advance_to(0.25)
         out = []
         clock.schedule(2.0, lambda: out.append(2))
         clock.schedule(0.5, lambda: out.append(0))
         clock.schedule(9.0, lambda: out.append(9))
-        clock.advance_to(3.0)
+        getattr(clock, move)(3.0 if move == "advance_to" else 2.75)
         assert out == [0, 2]
         assert clock.now == 3.0
 

@@ -42,6 +42,18 @@ def test_generation_over_tcp_matches_oracle(tcp_swarm):
     assert res.tokens == reference_generate(cfg, [9, 8, 7], 12)
 
 
+def test_generation_over_tcp_never_sleeps(tcp_swarm, monkeypatch):
+    """Modelled costs are charged, not slept: the client's per-step cache
+    bookkeeping and the servers' compute take no wall time on TCP."""
+    cfg, net = tcp_swarm
+    client = SwarmClient("cli", cfg, net, DirectoryClient(net, client_name="cli"))
+    sleeps = []
+    monkeypatch.setattr("swarmpipe.realnet.time.sleep", sleeps.append)
+    res = client.generate([9, 8, 7], 12)
+    assert res.tokens == reference_generate(cfg, [9, 8, 7], 12)
+    assert sleeps == []
+
+
 def test_directory_dump_over_tcp(tcp_swarm):
     cfg, net = tcp_swarm
     view = DirectoryClient(net, client_name="probe")
