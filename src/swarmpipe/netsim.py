@@ -15,8 +15,9 @@ handler compute, and the reply leg. Handlers spend compute with
 ``ctx.consume``, which charges the clock (``VirtualClock.charge``: the same
 as ``advance`` here, free on the TCP transport's wall clock). Fire-and-
 forget sends (``post``) schedule their delivery effect on the clock agenda
-without blocking; timers (announce loops, TTL sweeps, churn transitions) run
-the same way and interleave deterministically with client traffic.
+without blocking; timers (the servers' announce and rebalance loops) run the
+same way and interleave deterministically with client traffic. Churn needs no
+timer: ``online`` reads the schedule at the current time.
 """
 
 from __future__ import annotations
