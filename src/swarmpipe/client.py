@@ -98,7 +98,7 @@ class RealClientEngine:
 
     def __init__(self, config: M.ModelConfig, client_params: M.ClientParams | None = None):
         self.config = config
-        self.params = client_params or M.init_model(config)[1]
+        self.params = client_params or M.init_client_params(config)
 
     def embed_array(self, tokens: list[int]) -> np.ndarray:
         return self.params.embedding[np.asarray(tokens, dtype=np.intp)].copy()

@@ -13,8 +13,10 @@ block parameters are never touched by any code path here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,11 +90,14 @@ class ModelConfig:
 
 @dataclass
 class BlockParams:
-    """Weights of one transformer block. Treated as immutable everywhere."""
+    """Weights of one transformer block. Treated as immutable everywhere.
 
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    The query, key and value projections are stored side by side in one
+    [d, 3d] matrix so that a single matmul computes all three; ``wq``,
+    ``wk`` and ``wv`` are column views of it, not copies.
+    """
+
+    wqkv: np.ndarray
     wo: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
@@ -100,6 +105,19 @@ class BlockParams:
     ln1_b: np.ndarray
     ln2_g: np.ndarray
     ln2_b: np.ndarray
+
+    @property
+    def wq(self) -> np.ndarray:
+        return self.wqkv[:, :self.wqkv.shape[0]]
+
+    @property
+    def wk(self) -> np.ndarray:
+        d = self.wqkv.shape[0]
+        return self.wqkv[:, d:2 * d]
+
+    @property
+    def wv(self) -> np.ndarray:
+        return self.wqkv[:, 2 * self.wqkv.shape[0]:]
 
     def arrays(self) -> list[np.ndarray]:
         return [self.wq, self.wk, self.wv, self.wo, self.w1, self.w2,
@@ -177,10 +195,11 @@ def init_model(config: ModelConfig) -> tuple[list[BlockParams], ClientParams]:
     s = config.seed
     blocks = []
     for b in range(config.n_blocks):
+        wqkv = np.empty((d, 3 * d), np.float32)
+        for i, role in enumerate(("wq", "wk", "wv")):
+            wqkv[:, i * d:(i + 1) * d] = _uniform_weights(s, b, role, (d, d), scale)
         blocks.append(BlockParams(
-            wq=_uniform_weights(s, b, "wq", (d, d), scale),
-            wk=_uniform_weights(s, b, "wk", (d, d), scale),
-            wv=_uniform_weights(s, b, "wv", (d, d), scale),
+            wqkv=wqkv,
             wo=_uniform_weights(s, b, "wo", (d, d), scale),
             w1=_uniform_weights(s, b, "w1", (d, 4 * d), scale),
             w2=_uniform_weights(s, b, "w2", (4 * d, d), scale),
@@ -189,9 +208,14 @@ def init_model(config: ModelConfig) -> tuple[list[BlockParams], ClientParams]:
             ln2_g=np.ones(d, np.float32),
             ln2_b=np.zeros(d, np.float32),
         ))
-    client = ClientParams(embedding=_uniform_weights(s, config.n_blocks, "embedding",
-                                                     (config.vocab_size, d), scale))
-    return blocks, client
+    return blocks, init_client_params(config)
+
+
+def init_client_params(config: ModelConfig) -> ClientParams:
+    """The client's share of ``init_model``: the embedding alone, same bits."""
+    d = config.hidden_dim
+    return ClientParams(embedding=_uniform_weights(
+        config.seed, config.n_blocks, "embedding", (config.vocab_size, d), 1.0 / np.sqrt(d)))
 
 
 def params_hash(blocks: list[BlockParams]) -> str:
@@ -214,10 +238,21 @@ def parameter_count(config: ModelConfig, prompt_len: int = 0) -> int:
 # forward
 # ---------------------------------------------------------------------------
 
+def _centre_and_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x minus its row mean, and the row variance.
+
+    The same sum, divide, subtract, square, sum and divide that
+    ``np.mean``/``np.var`` perform, so the bits match theirs, without their
+    Python-level bookkeeping or the second mean ``var`` computes.
+    """
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    return xc, (xc * xc).sum(axis=-1, keepdims=True) / d
+
+
 def _ln(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + _LN_EPS) * g + b
+    xc, var = _centre_and_var(x)
+    return xc / np.sqrt(var + _LN_EPS) * g + b
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -236,6 +271,11 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
+@functools.cache
+def _score_scale(head_dim: int) -> np.float32:
+    return np.float32(math.sqrt(head_dim))
+
+
 def block_forward_batched(params: BlockParams, x: np.ndarray,
                           past_k: np.ndarray, past_v: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,15 +290,15 @@ def block_forward_batched(params: BlockParams, x: np.ndarray,
     hd = d // n_heads
     t0 = past_k.shape[1]
 
-    h = _ln(x, params.ln1_g, params.ln1_b)
-    q = _split_heads(h @ params.wq, n_heads)                    # [B, H, n, hd]
-    k_new = (h @ params.wk).reshape(bsz, n, n_heads, hd)        # [B, n, H, hd]
-    v_new = (h @ params.wv).reshape(bsz, n, n_heads, hd)
+    qkv = _ln(x, params.ln1_g, params.ln1_b) @ params.wqkv      # [B, n, 3d]
+    q = _split_heads(qkv[..., :d], n_heads)                     # [B, H, n, hd]
+    k_new = qkv[..., d:2 * d].reshape(bsz, n, n_heads, hd)      # [B, n, H, hd]
+    v_new = qkv[..., 2 * d:].reshape(bsz, n, n_heads, hd)
 
     k_all = np.concatenate([past_k, k_new], axis=1).transpose(0, 2, 1, 3)  # [B, H, t0+n, hd]
     v_all = np.concatenate([past_v, v_new], axis=1).transpose(0, 2, 1, 3)
 
-    scores = q @ k_all.transpose(0, 1, 3, 2) / np.float32(np.sqrt(hd))      # [B, H, n, t0+n]
+    scores = q @ k_all.transpose(0, 1, 3, 2) / _score_scale(hd)             # [B, H, n, t0+n]
     if n > 1:
         jj = np.arange(t0 + n)
         ii = np.arange(n)
@@ -297,12 +337,11 @@ def block_forward(params: BlockParams, inputs: HiddenStates, cache: KVCache
 
 def _ln_backward(x: np.ndarray, g: np.ndarray, dy: np.ndarray) -> np.ndarray:
     d = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xc, var = _centre_and_var(x)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     dxhat = dy * g
-    return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+    return inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
                   - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d)
 
 

@@ -1,18 +1,26 @@
 """Dynamic blockwise int8 codec for activation payloads.
 
-Values are split row-major into blocks of 64; each block is scaled by
-absmax/127 and rounded to signed 8-bit codes. Round-trip error is bounded
-by the block scale. The encoded form is ~1.06 bytes/element versus 4 raw,
-well under half the raw wire size.
+Each row (the last axis) is split into blocks of 64 values, the last block
+of a row possibly shorter; a block never spans two rows, so a row codes to
+the same bytes whether it is sent alone or with others. Each block is
+scaled by absmax/127 and rounded to signed 8-bit codes. Round-trip error is
+bounded by the block scale. The encoded form is ~1.06 bytes/element versus
+4 raw, well under half the raw wire size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 BLOCK_SIZE = 64
+
+
+def n_blocks_for(rows: int, cols: int, block_size: int = BLOCK_SIZE) -> int:
+    """Number of blocks (and scales) for a [rows, cols] matrix."""
+    return rows * -(-cols // block_size)
 
 
 @dataclass
@@ -33,26 +41,31 @@ class QuantizedHidden:
         return 4 * self.n_blocks + self.codes.size
 
 
+def _padded_rows(shape: tuple[int, ...], block_size: int) -> tuple[int, int, int]:
+    """(rows, cols, padded row width) for a matrix of ``shape``."""
+    cols = shape[-1]
+    return math.prod(shape[:-1]), cols, n_blocks_for(1, cols, block_size) * block_size
+
+
 def quantize_hidden(h: np.ndarray, block_size: int = BLOCK_SIZE) -> QuantizedHidden:
-    flat = np.ascontiguousarray(h, dtype=np.float32).ravel()
-    n = flat.size
-    n_blocks = (n + block_size - 1) // block_size
-    padded = np.zeros(n_blocks * block_size, np.float32)
-    padded[:n] = flat
-    blocks = padded.reshape(n_blocks, block_size)
+    a = np.ascontiguousarray(h, dtype=np.float32)
+    rows, cols, width = _padded_rows(a.shape, block_size)
+    padded = np.zeros((rows, width), np.float32)
+    padded[:, :cols] = a.reshape(rows, cols)
+    blocks = padded.reshape(-1, block_size)
     absmax = np.abs(blocks).max(axis=1)
     scales = (absmax / 127.0).astype(np.float32)
     safe = np.where(scales > 0, scales, 1.0).astype(np.float32)
     codes = np.rint(blocks / safe[:, None]).astype(np.int8)
     codes[scales == 0] = 0
-    return QuantizedHidden(tuple(h.shape), block_size, scales, codes.ravel()[:n].copy()
-                           if n % block_size else codes.ravel())
+    return QuantizedHidden(tuple(h.shape), block_size, scales,
+                           np.ascontiguousarray(codes.reshape(rows, width)[:, :cols]).ravel())
 
 
 def dequantize_hidden(q: QuantizedHidden) -> np.ndarray:
-    n = int(np.prod(q.shape))
-    codes = np.zeros(q.n_blocks * q.block_size, np.int8)
-    codes[:q.codes.size] = q.codes
-    blocks = codes.reshape(q.n_blocks, q.block_size).astype(np.float32)
+    rows, cols, width = _padded_rows(q.shape, q.block_size)
+    codes = np.zeros((rows, width), np.int8)
+    codes[:, :cols] = q.codes.reshape(rows, cols)
+    blocks = codes.reshape(-1, q.block_size).astype(np.float32)
     out = blocks * q.scales[:, None]
-    return out.ravel()[:n].reshape(q.shape).astype(np.float32)
+    return out.reshape(rows, width)[:, :cols].reshape(q.shape).astype(np.float32)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ProtocolError
-from .quantize import QuantizedHidden, dequantize_hidden, quantize_hidden
+from .quantize import (BLOCK_SIZE, QuantizedHidden, dequantize_hidden, n_blocks_for,
+                       quantize_hidden)
 
 MAGIC = b"SWP1"
 HEADER_LEN = 4 + 1 + 16 + 8
@@ -105,8 +106,8 @@ class HiddenBlob:
     def nbytes(self) -> int:
         n = self.rows * self.cols
         if self.quant is not None or (self.synthetic and self.quantize_flag):
-            block = self.quant.block_size if self.quant is not None else 64
-            n_blocks = (n + block - 1) // block
+            block = self.quant.block_size if self.quant is not None else BLOCK_SIZE
+            n_blocks = n_blocks_for(self.rows, self.cols, block)
             return _BLOB_HEADER.size + _QUANT_HEADER.size + 4 * n_blocks + n
         return _BLOB_HEADER.size + 4 * n
 
@@ -131,6 +132,8 @@ class HiddenBlob:
             return cls(rows, cols, data=data), offset + 4 * n
         if enc == ENC_QUANT:
             block, n_blocks = _QUANT_HEADER.unpack_from(buf, offset)
+            if block < 1 or n_blocks != n_blocks_for(rows, cols, block):
+                raise ProtocolError(f"{n_blocks} int8 blocks of {block} for a {rows}x{cols} blob")
             offset += _QUANT_HEADER.size
             scales = np.frombuffer(buf, "<f4", count=n_blocks, offset=offset).copy()
             offset += 4 * n_blocks

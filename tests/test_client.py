@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from swarmpipe import model as M
 from swarmpipe.client import Strategy
 from swarmpipe.errors import SwarmUnavailableError
-from swarmpipe.model import ModelConfig, reference_generate
+from swarmpipe.model import ModelConfig, init_model, reference_generate
 from swarmpipe.netsim import ChurnSchedule, NetProfile
 from swarmpipe.swarm import build_sim_swarm, build_swarm_from_config
 from swarmpipe.wire import Error, OpenSession, WireMessage
@@ -70,6 +71,20 @@ class TestFailureFree:
         swarm = build_sim_swarm(cfg, n_stages=1, replicas=1, seed=0)
         res = swarm.client().generate([5, 6, 7], 64)
         assert res.tokens == oracle64
+
+
+def test_client_builds_only_the_embedding(cfg, monkeypatch):
+    swarm = build_sim_swarm(cfg, seed=0)
+    roles, uniform_weights = [], M._uniform_weights
+
+    def spy(seed, block, role, *rest):
+        roles.append(role)
+        return uniform_weights(seed, block, role, *rest)
+
+    monkeypatch.setattr(M, "_uniform_weights", spy)
+    client = swarm.client()
+    assert roles == ["embedding"]
+    assert client.engine.params.embedding.tobytes() == init_model(cfg)[1].embedding.tobytes()
 
 
 class TestRecovery:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmpipe.errors import CapacityError, ConfigurationError, StateDesyncError
-from swarmpipe.model import (BlockParams, HiddenStates, KVCache, ModelConfig,
-                             block_backward, block_forward, block_forward_batched,
-                             init_model, parameter_count, params_hash,
-                             reference_beam, reference_generate)
+from swarmpipe.model import (BlockParams, HiddenStates, KVCache, ModelConfig, _ln,
+                             _ln_backward, block_backward, block_forward,
+                             block_forward_batched, init_model, parameter_count,
+                             params_hash, reference_beam, reference_generate)
 
 
 def _f64_params(p: BlockParams) -> dict:
@@ -75,6 +75,13 @@ class TestInit:
         a = 1.0 / np.sqrt(default_config.hidden_dim)
         assert abs(blocks[0].wq).max() <= a
         assert np.isfinite(blocks[0].w1).all()
+
+    def test_qkv_projections_are_views_of_one_matrix(self, default_config):
+        p = init_model(default_config)[0][0]
+        d = default_config.hidden_dim
+        assert p.wqkv.shape == (d, 3 * d)
+        for w in (p.wq, p.wk, p.wv):
+            assert w.shape == (d, d) and w.base is p.wqkv
 
     @pytest.mark.parametrize("kw", [dict(hidden_dim=10, n_heads=4),
                                     dict(n_blocks=0), dict(vocab_size=1)])
@@ -145,6 +152,37 @@ class TestForward:
         cache.append(delta.keys, delta.values)
         block_forward(p, HiddenStates(x[5:], 5), cache)
         assert np.array_equal(first.data, frozen)
+
+
+def _ln_mean_var(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + 1e-5) * g + b
+
+
+def _ln_backward_mean_var(x, g, dy):
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mu) * inv
+    dxhat = dy * g
+    return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                  - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d)
+
+
+class TestLayerNorm:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([np.float32, np.float64]), st.sampled_from([8, 64, 96]),
+           st.sampled_from([(1, 1), (1, 5), (4, 1), (3, 7), (17,)]),
+           st.floats(1e-3, 1e3), st.floats(-10, 10), st.integers(0, 2 ** 32 - 1))
+    def test_bytes_equal_mean_var_formulation(self, dtype, d, batch, scale, shift, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal(batch + (d,)) * scale + shift).astype(dtype)
+        dy = rng.standard_normal(batch + (d,)).astype(dtype)
+        g, b = rng.standard_normal((2, d)).astype(dtype)
+        assert _ln(x, g, b).tobytes() == _ln_mean_var(x, g, b).tobytes()
+        assert _ln_backward(x, g, dy).tobytes() == _ln_backward_mean_var(x, g, dy).tobytes()
 
 
 class TestBackward:
@@ -262,3 +300,24 @@ class TestBeamOracle:
         scores = [s for _, s in beams]
         assert scores == sorted(scores, reverse=True)
         assert len({tuple(h) for h, _ in beams}) == 4
+
+
+class TestGoldenBits:
+    """Outputs pinned to the last bit, so that a rewrite of the forward
+    arithmetic that moves any bit fails here, not only in the benchmark's
+    fingerprints."""
+
+    CFG = ModelConfig(seed=3)
+
+    def test_greedy_tokens(self):
+        assert reference_generate(self.CFG, [3, 1, 4, 1, 5, 9, 2, 6], 16) == [
+            3, 1, 4, 1, 5, 9, 2, 6,
+            225, 235, 164, 84, 225, 214, 214, 201, 201, 201, 201, 201, 201, 201, 201, 214]
+
+    def test_beam_hypotheses_and_score_bits(self):
+        got = [(h, s.hex()) for h, s in reference_beam(self.CFG, [2, 7, 1, 8], 6, 3)]
+        assert got == [
+            ([2, 7, 1, 8, 108, 108, 227, 24, 25, 25], "-0x1.5b51cdf7ec21bp+4"),
+            ([2, 7, 1, 8, 108, 108, 227, 24, 24, 25], "-0x1.5bbd1d7b6246ap+4"),
+            ([2, 7, 1, 8, 108, 108, 108, 227, 24, 25], "-0x1.5ca59f24de2dfp+4"),
+        ]

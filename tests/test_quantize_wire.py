@@ -42,6 +42,16 @@ class TestQuantize:
         q = quantize_hidden(h)
         assert q.encoded_nbytes() < 0.5 * h.nbytes
 
+    def test_rows_code_alike_alone_and_together(self, tiny_config, rng):
+        """A RESTORE carries the rows that STEPs sent one at a time; with
+        ``hidden_dim`` under 64 both must decode to the same values."""
+        d = tiny_config.hidden_dim
+        rows = (rng.standard_normal((5, d)) * [[0.1], [1.0], [3.0], [30.0], [0.5]]).astype(np.float32)
+        together = HiddenBlob.from_array(rows, quantized=True)
+        alone = np.vstack([HiddenBlob.from_array(r[None], quantized=True).array() for r in rows])
+        assert together.array().tobytes() == alone.tobytes()
+        assert together.quant.n_blocks == 5
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 300), st.integers(0, 2 ** 31))
     def test_bound_property(self, n, seed):
@@ -145,6 +155,13 @@ class TestFraming:
         raw = framed_nbytes(WireMessage(Step(0, HiddenBlob.from_array(h), 1, 16)))
         quant = framed_nbytes(WireMessage(Step(0, HiddenBlob.from_array(h, True), 1, 16)))
         assert quant < 0.5 * raw
+
+    def test_quantized_blob_with_wrong_block_count_rejected(self, rng):
+        enc = bytearray(HiddenBlob.from_array(rng.standard_normal((3, 8)), quantized=True).encode())
+        assert HiddenBlob.decode(bytes(enc))[0].quant.n_blocks == 3
+        enc[13:17] = (1).to_bytes(4, "little")      # n_blocks of a row-major cut
+        with pytest.raises(ProtocolError):
+            HiddenBlob.decode(bytes(enc))
 
     def test_synthetic_blob_sizes_match_real(self, rng):
         h = rng.standard_normal((16, 64)).astype(np.float32)
