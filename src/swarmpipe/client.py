@@ -133,7 +133,7 @@ class TimedClientEngine:
 
 @dataclass
 class _HistoryItem:
-    rows: np.ndarray | None = None      # [width, n_new, d] sent; None for timed engine
+    rows: np.ndarray | None = None      # [width, n_new, d] sent
     parents0: list[int] | None = None   # set instead for a beam reorder
 
 
@@ -149,8 +149,9 @@ class _Stage:
         return self.hop.server_id
 
     def record(self, rows: np.ndarray | None, width: int, n_new: int) -> None:
-        self.history.append(_HistoryItem(
-            rows.reshape(width, n_new, -1).copy() if rows is not None else None))
+        """Keep the rows sent; the timed engine sends none and keeps nothing."""
+        if rows is not None:
+            self.history.append(_HistoryItem(rows.reshape(width, n_new, -1).copy()))
 
     def lineage_matrix(self, d: int, final_width: int) -> np.ndarray | None:
         """Per-slot input sequences after composing beam reorders: the exact
@@ -160,13 +161,11 @@ class _Stage:
         for it in reversed(self.history):
             if it.parents0 is not None:
                 anc = [it.parents0[a] for a in anc]
-            elif it.rows is None:
-                return None         # timed engine: shapes only
             else:
                 for s in range(final_width):
                     collected[s].append(it.rows[anc[s]])
         if not collected[0]:
-            return None
+            return None             # nothing recorded: the timed engine
         slots = [np.concatenate(list(reversed(ch)), axis=0) for ch in collected]
         return np.stack(slots)
 

@@ -9,7 +9,7 @@ that stops refreshing disappears from reads within one TTL.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import ProtocolError
@@ -36,7 +36,11 @@ class ServerInfo:
     announced_at: float = 0.0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields are flat values, so ``dataclasses.asdict``'s deep copy
+        # of each one buys nothing
+        return {"server_id": self.server_id, "address": self.address, "start": self.start,
+                "end": self.end, "throughput": self.throughput, "state": self.state,
+                "announced_at": self.announced_at}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ServerInfo":

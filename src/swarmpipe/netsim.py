@@ -10,6 +10,16 @@ moment the leg entered the wire; the simulation is single-threaded over a
 virtual clock, so detection never false-positives and every run with the same
 seed replays the same trace, byte counts, and failure positions.
 
+Drop decisions
+--------------
+Every leg that enters the wire (each ``post``, and each ``rpc`` request and
+reply) takes the next draw of one PCG64 stream, seeded by the network's
+seed, and is lost when the draw is below its endpoint's drop probability.
+The stream is read ``DROP_DRAWS`` values at a time: ``rng.random(n)`` yields
+exactly the values of n scalar ``rng.random()`` calls. A leg takes its draw
+even at p = 0, because skipping one would shift every later drop of every
+endpoint.
+
 Blocking exchanges (``rpc``) advance the clock through request delivery,
 handler compute, and the reply leg. Handlers spend compute with
 ``ctx.consume``, which charges the clock (``VirtualClock.charge``: the same
@@ -24,16 +34,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
 from .errors import ConnectionFailed, MessageDropped, ProtocolError, Unreachable
 from .wire import WireMessage, Error, Ping, Pong, framed_nbytes
 
+DROP_DRAWS = 256    # drop draws fetched at a time; more costs memory and saves nothing
 
-@dataclass
+
+@dataclass(frozen=True)
 class NetProfile:
     """Link characteristics for one endpoint."""
 
@@ -57,19 +69,21 @@ class NetProfile:
         return 4.0 * self.rtt_ms / 1000.0 + 2.0 * self.transfer_s(nbytes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChurnSchedule:
     """Sorted, non-overlapping (on_time, off_time) intervals in simulated
     seconds. An empty schedule means always on."""
 
-    intervals: list[tuple[float, float]] = field(default_factory=list)
+    intervals: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
+        intervals = tuple((on, off) for on, off in self.intervals)
         last = -np.inf
-        for on, off in self.intervals:
+        for on, off in intervals:
             if on >= off or on < last:
                 raise ProtocolError("churn intervals must be sorted and non-overlapping")
             last = off
+        object.__setattr__(self, "intervals", intervals)
 
     def online(self, t: float) -> bool:
         if not self.intervals:
@@ -91,8 +105,9 @@ class VirtualClock:
         heapq.heappush(self._agenda, (t, next(self._seq), fn))
 
     def advance_to(self, t: float) -> None:
-        while self._agenda and self._agenda[0][0] <= t:
-            when, _, fn = heapq.heappop(self._agenda)
+        agenda = self._agenda
+        while agenda and agenda[0][0] <= t:
+            when, _, fn = heapq.heappop(agenda)
             self.now = when
             fn()
         if t > self.now:
@@ -140,13 +155,30 @@ class HandlerContext:
             self.net.clock.charge(seconds)
 
 
-@dataclass
 class _Endpoint:
-    handler: Handler
-    profile: NetProfile
-    churn: ChurnSchedule
-    drop_override: float | None = None
-    crashed: bool = False
+    """A registered address with its link constants, worked out once: the
+    profile and churn schedule are frozen, so the constants cannot go stale."""
+
+    def __init__(self, handler: Handler, profile: NetProfile, churn: ChurnSchedule,
+                 drop_override: float | None):
+        self.handler = handler
+        self.profile = profile
+        self.churn = churn
+        self.crashed = False
+        self.drop_p = drop_override if drop_override is not None else profile.failure_prob
+        self.one_way_s = profile.one_way_s()
+        self.always_on = not churn.intervals
+        # per sender: the handler context, which holds nothing per message
+        self.contexts: dict[str, HandlerContext] = {}
+
+    def online(self, t: float) -> bool:
+        return not self.crashed and (self.always_on or self.churn.online(t))
+
+
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """``rng``'s uniform stream, fetched DROP_DRAWS values at a time."""
+    while True:
+        yield from rng.random(DROP_DRAWS).tolist()
 
 
 class SimNetwork:
@@ -156,7 +188,7 @@ class SimNetwork:
                  trace: bool = False):
         self.clock = VirtualClock()
         self.default_profile = default_profile or NetProfile()
-        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._draw = _uniforms(np.random.Generator(np.random.PCG64(seed))).__next__
         self._endpoints: dict[str, _Endpoint] = {}
         self.links: dict[tuple[str, str], LinkStats] = {}
         self.trace_enabled = trace
@@ -180,7 +212,7 @@ class SimNetwork:
         ep = self._endpoints.get(addr)
         if ep is None:
             return False
-        return (not ep.crashed) and ep.churn.online(self.clock.now if t is None else t)
+        return ep.online(self.clock.now if t is None else t)
 
     # -- accounting ---------------------------------------------------------
 
@@ -190,18 +222,20 @@ class SimNetwork:
             st = self.links[(src, dst)] = LinkStats()
         return st
 
+    def _context(self, ep: _Endpoint, src: str, dst: str) -> HandlerContext:
+        ctx = ep.contexts.get(src)
+        if ctx is None:
+            ctx = ep.contexts[src] = HandlerContext(self, src, dst)
+        return ctx
+
     def total_bytes(self) -> int:
         return sum(s.bytes for s in self.links.values())
 
     def _record(self, *event) -> None:
-        """Trace (now, *event) when tracing is on; a message is traced by its
-        kind name, resolved only then."""
-        if self.trace_enabled:
-            self.trace.append((self.clock.now,) + tuple(
-                e.kind.name if isinstance(e, WireMessage) else e for e in event))
-
-    def _drop_prob(self, ep: _Endpoint) -> float:
-        return ep.drop_override if ep.drop_override is not None else ep.profile.failure_prob
+        """Trace (now, *event); a message is traced by its kind name, resolved
+        only here. Callers check ``trace_enabled`` first."""
+        self.trace.append((self.clock.now,) + tuple(
+            e.kind.name if isinstance(e, WireMessage) else e for e in event))
 
     # -- primitives ----------------------------------------------------------
 
@@ -210,24 +244,28 @@ class SimNetwork:
         Raises ConnectionFailed if the destination is offline. Never blocks:
         the delivery effect runs from the agenda at arrival time."""
         ep = self._endpoints.get(dst)
-        if ep is None or not self.online(dst):
-            self._record("conn_fail", src, dst, msg)
+        if ep is None or not ep.online(self.clock.now):
+            if self.trace_enabled:
+                self._record("conn_fail", src, dst, msg)
             raise ConnectionFailed(f"{dst} is offline")
         nbytes = framed_nbytes(msg)
-        if self._rng.random() < self._drop_prob(ep):
+        if self._draw() < ep.drop_p:
             self._link(src, dst).drops += 1
-            self._record("drop", src, dst, msg, nbytes)
+            if self.trace_enabled:
+                self._record("drop", src, dst, msg, nbytes)
             return False
         st = self._link(src, dst)
         st.messages += 1
         st.bytes += nbytes
-        t_arrive = self.clock.now + ep.profile.one_way_s() + ep.profile.transfer_s(nbytes)
-        self._record("send", src, dst, msg, nbytes, t_arrive)
+        t_arrive = self.clock.now + ep.one_way_s + ep.profile.transfer_s(nbytes)
+        if self.trace_enabled:
+            self._record("send", src, dst, msg, nbytes, t_arrive)
+        ctx = self._context(ep, src, dst)
 
         def deliver() -> None:
-            if self.online(dst):
+            if ep.online(self.clock.now):
                 try:
-                    ep.handler.handle(msg, HandlerContext(self, src, dst))
+                    ep.handler.handle(msg, ctx)
                 except SimulatedCrash:
                     ep.crashed = True
         self.clock.schedule(t_arrive, deliver)
@@ -237,55 +275,65 @@ class SimNetwork:
         """Blocking request/response exchange; advances the virtual clock
         through delivery, handler compute, and the reply leg. Both legs are
         subject to the per-message failure probability."""
+        clock = self.clock
         ep = self._endpoints.get(dst)
-        profile = ep.profile if ep else self.default_profile
         req_bytes = framed_nbytes(msg)
-        if ep is None or not self.online(dst, self.clock.now + profile.one_way_s()):
-            self.clock.advance(profile.rtt_ms / 1000.0)
-            self._record("conn_fail", src, dst, msg)
+        if ep is None or not ep.online(clock.now + ep.one_way_s):
+            profile = ep.profile if ep else self.default_profile
+            clock.advance(profile.rtt_ms / 1000.0)
+            if self.trace_enabled:
+                self._record("conn_fail", src, dst, msg)
             raise ConnectionFailed(f"{dst} is offline")
+        profile = ep.profile
 
         # request leg
-        if self._rng.random() < self._drop_prob(ep):
+        if self._draw() < ep.drop_p:
             self._link(src, dst).drops += 1
-            self._record("drop", src, dst, msg, req_bytes)
-            self.clock.advance(profile.detect_s(req_bytes))
+            if self.trace_enabled:
+                self._record("drop", src, dst, msg, req_bytes)
+            clock.advance(profile.detect_s(req_bytes))
             raise MessageDropped(f"request {msg.kind.name} to {dst} lost")
         st = self._link(src, dst)
         st.messages += 1
         st.bytes += req_bytes
-        self._record("send", src, dst, msg, req_bytes)
-        self.clock.advance(profile.one_way_s() + profile.transfer_s(req_bytes))
+        if self.trace_enabled:
+            self._record("send", src, dst, msg, req_bytes)
+        # a leg adds (one way + transfer) to now, as one sum: regrouping it
+        # moves virtual time in the last bits
+        clock.advance_to(clock.now + (ep.one_way_s + profile.transfer_s(req_bytes)))
 
         # handler compute (may advance the clock via ctx.consume)
         try:
-            reply = ep.handler.handle(msg, HandlerContext(self, src, dst))
+            reply = ep.handler.handle(msg, self._context(ep, src, dst))
         except SimulatedCrash:
             ep.crashed = True
-            self._record("crash", dst)
-            self.clock.advance(profile.detect_s(0))
+            if self.trace_enabled:
+                self._record("crash", dst)
+            clock.advance(profile.detect_s(0))
             raise ConnectionFailed(f"{dst} crashed mid-request")
         reply.session_id = msg.session_id
 
         # reply leg
         rep_bytes = framed_nbytes(reply)
-        if self._rng.random() < self._drop_prob(ep):
+        if self._draw() < ep.drop_p:
             self._link(dst, src).drops += 1
-            self._record("drop", dst, src, reply, rep_bytes)
-            self.clock.advance(profile.detect_s(rep_bytes))
+            if self.trace_enabled:
+                self._record("drop", dst, src, reply, rep_bytes)
+            clock.advance(profile.detect_s(rep_bytes))
             raise MessageDropped(f"reply {reply.kind.name} from {dst} lost")
         st = self._link(dst, src)
         st.messages += 1
         st.bytes += rep_bytes
-        self._record("send", dst, src, reply, rep_bytes)
-        self.clock.advance(profile.one_way_s() + profile.transfer_s(rep_bytes))
+        if self.trace_enabled:
+            self._record("send", dst, src, reply, rep_bytes)
+        clock.advance_to(clock.now + (ep.one_way_s + profile.transfer_s(rep_bytes)))
         return reply
 
     def ping(self, src: str, dst: str, deadline_s: float = 5.0) -> float:
         """Measured round-trip time in milliseconds. Pings ride a measurement
         channel: exact in simulation and exempt from the drop process."""
         ep = self._endpoints.get(dst)
-        if ep is None or not self.online(dst):
+        if ep is None or not ep.online(self.clock.now):
             self.clock.advance(deadline_s)
             raise Unreachable(f"{dst} did not answer ping")
         for m in (WireMessage(Ping()), WireMessage(Pong())):

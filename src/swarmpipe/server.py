@@ -297,25 +297,10 @@ class BlockServer:
             raise SimulatedCrash(self.server_id)
         if self.handled % 256 == 0:
             self._purge_stale()
-        p = msg.payload
-        if isinstance(p, Ping):
-            return WireMessage(Pong())
-        if isinstance(p, OpenSession):
-            return self._open(msg.session_id, p, ctx)
-        if isinstance(p, Step):
-            return self._step(msg.session_id, p, ctx)
-        if isinstance(p, Restore):
-            return self._restore(msg.session_id, p, ctx)
-        if isinstance(p, Reorder):
-            return self._reorder(msg.session_id, p, ctx)
-        if isinstance(p, Close):
-            self.sessions.pop(msg.session_id, None)
-            return WireMessage(Pong())
-        if isinstance(p, Forward):
-            return self._forward(msg.session_id, p, ctx)
-        if isinstance(p, Backward):
-            return self._backward(msg.session_id, p, ctx)
-        return WireMessage(Error("protocol", f"unsupported kind {msg.kind.name}"))
+        route = self._ROUTES.get(type(msg.payload))
+        if route is None:
+            return WireMessage(Error("protocol", f"unsupported kind {msg.kind.name}"))
+        return route(self, msg.session_id, msg.payload, ctx)
 
     def _session(self, sid: int) -> SessionState | None:
         s = self.sessions.get(sid)
@@ -346,6 +331,13 @@ class BlockServer:
             return WireMessage(Error(
                 "not_serving", f"serves [{self.start}, {self.end}), asked [{start}, {end})"))
         return None
+
+    def _ping(self, sid: int, p: Ping, ctx: HandlerContext) -> WireMessage:
+        return WireMessage(Pong())
+
+    def _close(self, sid: int, p: Close, ctx: HandlerContext) -> WireMessage:
+        self.sessions.pop(sid, None)
+        return WireMessage(Pong())
 
     def _open(self, sid: int, p: OpenSession, ctx: HandlerContext) -> WireMessage:
         refusal = self._not_serving(p.start, p.end)
@@ -453,3 +445,7 @@ class BlockServer:
         ctx.consume(2 * self.cfg.stage_seconds(p.end - p.start, rows, False))
         out = self.engine.backward(p.start, p.end, p.blob, p.batch, p.tokens, record)
         return WireMessage(StepResult(0, out, p.batch, p.tokens))
+
+    # the handler of each payload type; any other gets a protocol error
+    _ROUTES = {Ping: _ping, OpenSession: _open, Step: _step, Restore: _restore,
+               Reorder: _reorder, Close: _close, Forward: _forward, Backward: _backward}

@@ -255,26 +255,28 @@ def kind_of(payload: Payload) -> Kind:
     return _KIND_OF[type(payload)]
 
 
+# payload size by type; a blob payload is its fixed fields plus its blob
+_NBYTES = {
+    OpenSession: lambda p: _OPEN.size,
+    Step: lambda p: _STEP.size + p.blob.nbytes(),
+    StepResult: lambda p: _STEP.size + p.blob.nbytes(),
+    Restore: lambda p: _RESTORE.size + p.blob.nbytes(),
+    Reorder: lambda p: 2 + 2 * len(p.indices),
+    Forward: lambda p: _FORWARD.size + p.blob.nbytes(),
+    Backward: lambda p: _BACKWARD.size + p.blob.nbytes(),
+    Ping: lambda p: 0,
+    Pong: lambda p: 0,
+    Close: lambda p: 0,
+    Announce: lambda p: len(_canon_json(p.record)),
+    Error: lambda p: len(_canon_json({"code": p.code, "detail": p.detail})),
+}
+
+
 def payload_nbytes(payload: Payload) -> int:
-    if isinstance(payload, OpenSession):
-        return _OPEN.size
-    if isinstance(payload, (Step, StepResult)):
-        return _STEP.size + payload.blob.nbytes()
-    if isinstance(payload, Restore):
-        return _RESTORE.size + payload.blob.nbytes()
-    if isinstance(payload, Reorder):
-        return 2 + 2 * len(payload.indices)
-    if isinstance(payload, Forward):
-        return _FORWARD.size + payload.blob.nbytes()
-    if isinstance(payload, Backward):
-        return _BACKWARD.size + payload.blob.nbytes()
-    if isinstance(payload, (Ping, Pong, Close)):
-        return 0
-    if isinstance(payload, Announce):
-        return len(_canon_json(payload.record))
-    if isinstance(payload, Error):
-        return len(_canon_json({"code": payload.code, "detail": payload.detail}))
-    raise ProtocolError(f"unknown payload {type(payload)}")
+    size = _NBYTES.get(type(payload))
+    if size is None:
+        raise ProtocolError(f"unknown payload {type(payload)}")
+    return size(payload)
 
 
 def _canon_json(obj) -> bytes:

@@ -1,13 +1,14 @@
 """Directory board: announce/TTL semantics, load vectors, ban lists."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from swarmpipe.directory import (ANNOUNCE_PERIOD_S, BanList, DirectoryBoard,
                                  DirectoryHandler, ServerInfo, TTL_S, block_load)
 from swarmpipe.errors import ProtocolError
-from swarmpipe.wire import Announce, Error, Ping, WireMessage
+from swarmpipe.wire import Announce, Error, Ping, WireMessage, encode_frame, framed_nbytes
 
 
 class _FakeClock:
@@ -30,6 +31,18 @@ def board(clock):
 
 def _info(sid="a", start=0, end=4, thr=10.0, state="online"):
     return ServerInfo(sid, sid, start, end, thr, state)
+
+
+class TestServerInfo:
+    def test_to_dict_is_asdict(self):
+        """The record's dict has asdict's keys, in its order, and values, so
+        an ANNOUNCE frame keeps its size (149 bytes for this record)."""
+        info = ServerInfo("s0a", "s0a", 0, 2, 123.456, "joining", 7.25)
+        d = info.to_dict()
+        assert d == asdict(info) and list(d) == list(asdict(info))
+        msg = WireMessage(Announce(d))
+        assert framed_nbytes(msg) == len(encode_frame(msg)) == 149
+        assert ServerInfo.from_dict(d) == info
 
 
 class TestAnnounce:

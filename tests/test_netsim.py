@@ -1,10 +1,12 @@
 """Simulated transport: drop statistics, delays, churn, determinism."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from swarmpipe.errors import ConnectionFailed, MessageDropped, Unreachable
-from swarmpipe.netsim import (ChurnSchedule, HandlerContext, NetProfile,
+from swarmpipe.netsim import (DROP_DRAWS, ChurnSchedule, HandlerContext, NetProfile,
                               SimNetwork, VirtualClock)
 from swarmpipe.wire import Announce, Ping, Pong, WireMessage, framed_nbytes
 
@@ -139,6 +141,68 @@ class TestRpc:
         net.clock.schedule(2.0, lambda: fired.append(net.clock.now))
         net.rpc("c", "srv", WireMessage(Ping()))
         assert fired == [2.0]
+
+
+class TestDropStream:
+    """Drops read one buffered PCG64 stream; every leg takes the next draw."""
+
+    @staticmethod
+    def _send(net, i, dst):
+        """Send i (an rpc on odd i, else a post): 'ok', 'request' or 'reply'
+        for the leg that was lost."""
+        if i % 2 == 0:
+            return "ok" if net.post("c", dst, WireMessage(Ping())) else "request"
+        try:
+            net.rpc("c", dst, WireMessage(Ping()))
+            return "ok"
+        except MessageDropped as e:
+            return "request" if str(e).startswith("request") else "reply"
+
+    @staticmethod
+    def _reference(draw, i, p):
+        """The same outcome from scalar draws: a post and a request leg take
+        one draw, and a reply leg one more."""
+        if draw() < p:
+            return "request"
+        if i % 2 == 0:
+            return "ok"
+        return "reply" if draw() < p else "ok"
+
+    def test_matches_scalar_draws(self):
+        p, seed = 0.5, 11
+        net, _ = _net(p=p, seed=seed)
+        draw = np.random.Generator(np.random.PCG64(seed)).random
+        n = 3 * DROP_DRAWS     # at least 1.5 draws a send: past two refills
+        got = [self._send(net, i, "srv") for i in range(n)]
+        assert got == [self._reference(draw, i, p) for i in range(n)]
+        assert {"ok", "request", "reply"} <= set(got)
+
+    def test_zero_override_still_draws(self):
+        """A leg to a p = 0 endpoint takes its draw, so the drops of the
+        other endpoints stay where the stream puts them."""
+        p, seed = 0.5, 5
+        net, _ = _net(p=p, seed=seed)
+        net.register("safe", _Echo(), drop_override=0.0)
+        draw = np.random.Generator(np.random.PCG64(seed)).random
+        for i in range(2 * DROP_DRAWS):
+            if i % 3 == 0:
+                assert self._send(net, i, "safe") == self._reference(draw, i, 0.0) == "ok"
+            else:
+                assert self._send(net, i, "srv") == self._reference(draw, i, p)
+
+
+class TestFrozenConfig:
+    """Endpoints work out their link constants once, at ``register``."""
+
+    def test_profile_fields_cannot_change(self):
+        with pytest.raises(FrozenInstanceError):
+            NetProfile().failure_prob = 0.5
+
+    def test_churn_schedule_cannot_change(self):
+        churn = ChurnSchedule([(1.0, 2.0)])
+        assert churn.intervals == ((1.0, 2.0),)
+        with pytest.raises(FrozenInstanceError):
+            churn.intervals = ()
 
 
 class TestPing:
