@@ -2,10 +2,11 @@
 virtual time to the last bit, their bytes and their failure counts.
 
 A change to the simulated message path may make it cheaper to run, never
-move what it simulates. The pinned values come from the simulator before the
-message path was made lean. Virtual time is compared as ``float.hex``, so a
-float sum regrouped (``now + one_way + transfer`` for
-``now + (one_way + transfer)``) fails here although every byte is equal.
+move what it simulates: the pinned values were recorded before that path was
+optimised and move only with a change that says why. Virtual time is
+compared as ``float.hex``, so a regrouped float sum (``now + one_way +
+transfer`` for ``now + (one_way + transfer)``) fails here although every
+byte is equal.
 """
 
 import pytest
