@@ -1,9 +1,16 @@
 """Real socket transport: the same wire frames and handlers over TCP.
 
-One listener thread per node, one worker thread per accepted connection;
-handler execution is serialized per node with a lock (sessions stay isolated,
-and node-level concurrency is not what this artifact benchmarks). Client-side
-latency estimates come from PING round trips smoothed with alpha = 0.5.
+Client side, ``RealNetwork`` keeps a pool of idle connections per
+destination. A request takes an idle connection, or opens one when none is
+idle (a timer thread's ``ANNOUNCE`` and the client's request may each hold
+their own), and returns it only after a whole reply has arrived; any failure
+closes it instead, so a late reply is never read as the answer to a later
+request. ``post`` sets the frame's ``NO_REPLY`` bit and returns once the
+frame is sent. Server side, each node runs one thread: a ``selectors`` loop
+that accepts connections, buffers each one's bytes without blocking, and
+handles every complete frame in arrival order, so handlers are serialized
+per node and one peer's half-sent frame stalls no other. Client-side latency
+estimates come from PING round trips smoothed with alpha = 0.5.
 
 Time is the wall clock. Modelled costs (server compute charged through
 ``ctx.consume``, the client's cache bookkeeping) go to ``WallClock.charge``,
@@ -13,18 +20,19 @@ waits, and only the client's reroute backoff calls it.
 
 from __future__ import annotations
 
+import selectors
 import socket
-import struct
 import threading
 import time
 
 from .directory import DirectoryBoard, DirectoryHandler, ServerInfo
 from .errors import ConnectionFailed, MessageDropped, ProtocolError, Unreachable
 from .netsim import HandlerContext, NetProfile
-from .wire import (Announce, HEADER_LEN, Ping, Pong, TRAILER_LEN, WireMessage,
-                   decode_frame, encode_frame, framed_nbytes)
+from .wire import (Announce, HEADER_LEN, NO_REPLY, Ping, Pong, TRAILER_LEN, WireMessage,
+                   decode_frame, encode_frame)
 
 RTT_SMOOTH_ALPHA = 0.5
+RECV_BYTES = 1 << 16     # a listener's read per readiness event
 
 
 class WallClock:
@@ -96,12 +104,19 @@ class RealNetwork:
         self._addrs: dict[str, tuple[str, int]] = {}
         self._listeners: dict[str, "_Listener"] = {}
         self._rtt_ms: dict[str, float] = {}
+        self._idle: dict[str, list[socket.socket]] = {}   # pooled connections per destination
+        self._pool_lock = threading.Lock()
+        self._closed = False
 
     def register(self, name: str, handler, host: str = "127.0.0.1",
                  port: int = 0) -> tuple[str, int]:
         lst = _Listener(self, name, handler, host, port)
         self._listeners[name] = lst
         self._addrs[name] = lst.bound
+        with self._pool_lock:
+            stale = self._idle.pop(name, [])
+        for conn in stale:
+            conn.close()
         lst.start()
         return lst.bound
 
@@ -113,6 +128,12 @@ class RealNetwork:
 
     def shutdown(self) -> None:
         self.clock.stop()
+        with self._pool_lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
         for lst in self._listeners.values():
             lst.stop()
 
@@ -126,19 +147,44 @@ class RealNetwork:
             conn = socket.create_connection(addr, timeout=self.timeout_s)
         except OSError as e:
             raise ConnectionFailed(f"{dst}: {e}") from e
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return conn
 
+    def _exchange(self, dst: str, frame: bytes, reply: bool) -> WireMessage | None:
+        """Send ``frame`` on a pooled connection to ``dst`` and, with
+        ``reply``, read the answer. The connection goes back to the pool only
+        after a whole exchange; on any failure it is closed."""
+        with self._pool_lock:
+            idle = self._idle.get(dst)
+            conn = idle.pop() if idle else None
+        if conn is None:
+            conn = self._connect(dst)
+        try:
+            conn.sendall(frame)
+            answer = _recv_frame(conn) if reply else None
+        except socket.timeout as e:
+            conn.close()
+            raise MessageDropped(f"no reply from {dst}") from e
+        except OSError as e:
+            conn.close()
+            raise ConnectionFailed(f"{dst}: {e}") from e
+        except BaseException:
+            conn.close()
+            raise
+        with self._pool_lock:
+            pooled = not self._closed
+            if pooled:
+                self._idle.setdefault(dst, []).append(conn)
+        if not pooled:
+            conn.close()
+        return answer
+
     def rpc(self, src: str, dst: str, msg: WireMessage) -> WireMessage:
-        with self._connect(dst) as conn:
-            conn.sendall(encode_frame(msg))
-            try:
-                return _recv_frame(conn)
-            except socket.timeout as e:
-                raise MessageDropped(f"no reply from {dst}") from e
+        return self._exchange(dst, encode_frame(msg), reply=True)
 
     def post(self, src: str, dst: str, msg: WireMessage) -> bool:
-        with self._connect(dst) as conn:
-            conn.sendall(encode_frame(msg))
+        """Send without waiting: the frame asks for no reply."""
+        self._exchange(dst, encode_frame(msg, reply=False), reply=False)
         return True
 
     def ping(self, src: str, dst: str, deadline_s: float = 5.0) -> float:
@@ -156,65 +202,106 @@ class RealNetwork:
         return self._rtt_ms[dst]
 
     def total_bytes(self) -> int:
+        """Frames the listeners received and the replies they wrote."""
         return sum(l.bytes_seen for l in self._listeners.values())
 
 
 class _Listener:
+    """One node's server: a thread running a selector loop over the listening
+    socket, a wake-up socket and every accepted connection."""
+
     def __init__(self, net: RealNetwork, name: str, handler, host: str, port: int):
         self.net = net
         self.name = name
         self.handler = handler
-        self._lock = threading.Lock()
+        self._ctx = HandlerContext(net, "peer", name)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
         self._sock.listen(32)
+        self._sock.setblocking(False)
         self.bound = self._sock.getsockname()
-        self._stop = threading.Event()
+        self._wake_r, self._wake_w = socket.socketpair()
         self.bytes_seen = 0
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True,
+        self._thread = threading.Thread(target=self._serve, daemon=True,
                                         name=f"swarmpipe-{self.name}")
         self._thread.start()
 
     def stop(self) -> None:
-        self._stop.set()
-        try:   # closing alone does not wake a thread blocked in accept
-            self._sock.shutdown(socket.SHUT_RDWR)
+        try:
+            self._wake_w.send(b"x")
         except OSError:
-            pass
-        self._sock.close()
+            pass   # the loop has already ended and closed its end
         self._thread.join()
+        self._wake_w.close()
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
+    def _serve(self) -> None:
+        sel = selectors.DefaultSelector()
+        sel.register(self._sock, selectors.EVENT_READ)
+        sel.register(self._wake_r, selectors.EVENT_READ)
+        try:
+            while True:
+                for key, _ in sel.select():
+                    sock = key.fileobj
+                    if sock is self._wake_r:
+                        return
+                    if sock is self._sock:
+                        self._accept(sel)
+                    elif not self._receive(sock, key.data):
+                        sel.unregister(sock)
+                        sock.close()
+        finally:
+            # however the loop ends, peers see EOF rather than a timeout
+            for key in list(sel.get_map().values()):
+                key.fileobj.close()
+            sel.close()
 
-    def _serve_conn(self, conn: socket.socket) -> None:
+    def _accept(self, sel: selectors.BaseSelector) -> None:
+        try:
+            conn, _ = self._sock.accept()
+        except OSError:
+            return   # the peer gave up before the accept
+        # reads happen only when the selector reports data; the timeout
+        # bounds a reply's send to a peer that stopped reading
         conn.settimeout(self.net.timeout_s)
-        with conn:
-            while not self._stop.is_set():
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sel.register(conn, selectors.EVENT_READ, bytearray())
+
+    def _receive(self, conn: socket.socket, buf: bytearray) -> bool:
+        """Read what has arrived on ``conn`` and handle every complete frame
+        in ``buf``; False when the connection is to be closed (EOF, reset, a
+        malformed frame, a failed reply)."""
+        try:
+            chunk = conn.recv(RECV_BYTES)
+        except OSError:
+            return False
+        if not chunk:
+            return False
+        buf += chunk
+        while len(buf) >= HEADER_LEN:
+            end = HEADER_LEN + int.from_bytes(buf[21:29], "little") + TRAILER_LEN
+            if len(buf) < end:
+                break
+            frame = bytes(buf[:end])
+            del buf[:end]
+            try:
+                msg, _ = decode_frame(frame)
+            except ProtocolError:
+                return False
+            reply = self.handler.handle(msg, self._ctx)
+            out = b""
+            if reply is not None and not frame[4] & NO_REPLY:
+                reply.session_id = msg.session_id
+                out = encode_frame(reply)
+            self.bytes_seen += end + len(out)
+            if out:
                 try:
-                    msg = _recv_frame(conn)
-                except (ConnectionFailed, ProtocolError, OSError):
-                    return   # bad, closed or reset stream: drop the connection
-                with self._lock:
-                    reply = self.handler.handle(msg, HandlerContext(self.net, "peer", self.name))
-                frame = b""
-                if reply is not None:
-                    reply.session_id = msg.session_id
-                    frame = encode_frame(reply)
-                with self._lock:
-                    self.bytes_seen += framed_nbytes(msg) + len(frame)
-                try:
-                    conn.sendall(frame)
+                    conn.sendall(out)
                 except OSError:
-                    return   # the peer reset or went away before the reply
+                    return False   # the peer reset, went away or stopped reading
+        return True
 
 
 class DirectoryClient:

@@ -3,7 +3,8 @@
 Frame layout (all integers little-endian):
 
     4 bytes   magic "SWP1"
-    1 byte    message kind
+    1 byte    message kind; bit 7 (``NO_REPLY``) marks a frame whose sender
+              reads no reply
     16 bytes  session id
     8 bytes   payload length
     N bytes   payload (kind-specific)
@@ -32,6 +33,7 @@ from .quantize import (BLOCK_SIZE, QuantizedHidden, dequantize_hidden, n_blocks_
 MAGIC = b"SWP1"
 HEADER_LEN = 4 + 1 + 16 + 8
 TRAILER_LEN = 8
+NO_REPLY = 0x80      # kind-byte flag: the sender reads no reply to this frame
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -342,11 +344,18 @@ def decode_payload(kind: Kind, buf: bytes) -> Payload:
     if kind == Kind.CLOSE:
         return Close()
     if kind == Kind.ANNOUNCE:
-        return Announce(json.loads(buf.decode()))
+        return Announce(_json_object(buf))
     if kind == Kind.ERROR:
-        obj = json.loads(buf.decode())
+        obj = _json_object(buf)
         return Error(obj["code"], obj.get("detail", ""))
     raise ProtocolError(f"unknown kind {kind}")
+
+
+def _json_object(buf: bytes) -> dict:
+    obj = json.loads(buf.decode())
+    if not isinstance(obj, dict):
+        raise ProtocolError("JSON payload is not an object")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +376,25 @@ def framed_nbytes(msg: WireMessage) -> int:
     return HEADER_LEN + payload_nbytes(msg.payload) + TRAILER_LEN
 
 
-def encode_frame(msg: WireMessage) -> bytes:
+def encode_frame(msg: WireMessage, reply: bool = True) -> bytes:
+    """The frame of ``msg``; ``reply=False`` sets ``NO_REPLY`` in the kind
+    byte, which leaves the frame's size unchanged."""
     body = encode_payload(msg.payload)
-    head = (MAGIC + bytes([msg.kind])
+    head = (MAGIC + bytes([msg.kind if reply else msg.kind | NO_REPLY])
             + msg.session_id.to_bytes(16, "little")
             + len(body).to_bytes(8, "little"))
     return head + body + fnv1a64(body).to_bytes(8, "little")
 
 
 def decode_frame(buf: bytes) -> tuple[WireMessage, int]:
-    """Decode one frame; returns (message, bytes consumed). Raises
-    ProtocolError on bad magic or checksum mismatch."""
+    """Decode one frame; returns (message, bytes consumed). The ``NO_REPLY``
+    bit is ignored: the transport reads it from the header. Every malformed
+    frame raises ProtocolError: bad magic, a checksum mismatch, an unknown
+    kind, and a payload that does not parse as its kind."""
     if len(buf) < HEADER_LEN:
         raise ProtocolError("short frame header")
     if buf[:4] != MAGIC:
         raise ProtocolError("bad magic")
-    kind = Kind(buf[4])
     session_id = int.from_bytes(buf[5:21], "little")
     plen = int.from_bytes(buf[21:29], "little")
     end = HEADER_LEN + plen
@@ -392,4 +404,10 @@ def decode_frame(buf: bytes) -> tuple[WireMessage, int]:
     checksum = int.from_bytes(buf[end:end + TRAILER_LEN], "little")
     if fnv1a64(body) != checksum:
         raise ProtocolError("payload checksum mismatch")
-    return WireMessage(decode_payload(kind, body), session_id), end + TRAILER_LEN
+    try:
+        payload = decode_payload(Kind(buf[4] & ~NO_REPLY), body)
+    except (ValueError, KeyError, TypeError, OverflowError, struct.error) as e:
+        # unknown kind, short fixed fields, a blob past the payload's end,
+        # bad UTF-8 or JSON
+        raise ProtocolError(f"malformed {buf[4]:#x} frame: {e}") from e
+    return WireMessage(payload, session_id), end + TRAILER_LEN

@@ -122,12 +122,12 @@ class TestRecordFiles:
         for run in range(2):
             recs = churn_records(run_load_balance_experiment(spec), 1)
             j, c = write_records(recs, str(tmp_path / f"r{run}.jsonl"))
-            outs.append((open(j, "rb").read(), open(c, "rb").read()))
+            outs.append((Path(j).read_bytes(), Path(c).read_bytes()))
         assert outs[0] == outs[1]
 
     def test_wall_time_not_serialized(self, tmp_path):
         rec = RunRecord("x", 0, 0.0, 1, "s", 1.0, 1.0, 0, 0, 0, 0, True,
                         wall_time_s=123.456)
         j, _ = write_records([rec], str(tmp_path / "r.jsonl"))
-        row = json.loads(open(j).read())
+        row = json.loads(Path(j).read_text())
         assert "wall_time_s" not in row

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from swarmpipe.errors import ProtocolError
 from swarmpipe.quantize import dequantize_hidden, quantize_hidden
-from swarmpipe.wire import (Announce, Backward, Close, Error, Forward, HiddenBlob,
-                            Kind, OpenSession, Ping, Pong, Reorder, Restore, Step,
-                            StepResult, WireMessage, decode_frame, encode_frame,
-                            fnv1a64, framed_nbytes, payload_nbytes)
+from swarmpipe.wire import (MAGIC, NO_REPLY, Announce, Backward, Close, Error, Forward,
+                            HiddenBlob, Kind, OpenSession, Ping, Pong, Reorder, Restore,
+                            Step, StepResult, WireMessage, decode_frame, encode_frame,
+                            encode_payload, fnv1a64, framed_nbytes, payload_nbytes)
 
 
 class TestQuantize:
@@ -171,3 +171,61 @@ class TestFraming:
                 == HiddenBlob.from_array(h, quantized=True).nbytes())
         with pytest.raises(ProtocolError):
             HiddenBlob.shape_only(4, 4).encode()
+
+
+def _frame(kind: int, body: bytes, session_id: int = 0) -> bytes:
+    """A frame with a valid checksum around any kind byte and payload."""
+    return (MAGIC + bytes([kind]) + session_id.to_bytes(16, "little")
+            + len(body).to_bytes(8, "little") + body + fnv1a64(body).to_bytes(8, "little"))
+
+
+_VALID = [(int(m.kind), encode_payload(m.payload))
+          for m in _all_kind_messages(np.random.default_rng(0))]
+
+
+class TestMalformedFrames:
+    """A frame whose checksum holds may still be malformed; decoding it
+    raises ProtocolError and nothing else."""
+
+    @pytest.mark.parametrize("kind, body", [
+        pytest.param(99, b"", id="unknown-kind"),
+        pytest.param(0, b"", id="kind-zero"),
+        pytest.param(Kind.STEP, b"", id="step-without-fixed-fields"),
+        pytest.param(Kind.OPEN_SESSION, b"\x00" * 5, id="short-open"),
+        pytest.param(Kind.REORDER, b"\x05\x00\x01\x00", id="reorder-5-slots-1-sent"),
+        pytest.param(Kind.STEP, _VALID[1][1][:-4], id="blob-past-payload"),
+        pytest.param(Kind.STEP, _VALID[1][1][:16] + b"\xff" * 8, id="blob-2^64-floats"),
+        pytest.param(Kind.ANNOUNCE, b"{not json", id="announce-bad-json"),
+        pytest.param(Kind.ANNOUNCE, b"[1, 2]", id="announce-not-an-object"),
+        pytest.param(Kind.ERROR, b"\xff\xfe", id="error-not-utf8"),
+        pytest.param(Kind.ERROR, b'{"detail": "x"}', id="error-without-code"),
+    ])
+    def test_rejected_as_protocol_error(self, kind, body):
+        with pytest.raises(ProtocolError):
+            decode_frame(_frame(kind, body))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(_VALID), st.data())
+    def test_mutated_frames_decode_or_raise_protocol_error(self, valid, data):
+        kind, body = valid
+        body = bytearray(body)
+        if data.draw(st.booleans()):
+            kind = data.draw(st.integers(0, 255))
+        for _ in range(data.draw(st.integers(0, 3))):
+            if body:
+                i = data.draw(st.integers(0, len(body) - 1))
+                body[i] = data.draw(st.integers(0, 255))
+        body = body[:data.draw(st.integers(0, len(body)))] + data.draw(st.binary(max_size=8))
+        try:
+            msg, used = decode_frame(_frame(kind, bytes(body)))
+        except ProtocolError:
+            return
+        assert isinstance(msg, WireMessage) and used == len(body) + 37
+
+    def test_no_reply_bit_keeps_size_and_decodes_alike(self, rng):
+        for m in _all_kind_messages(rng):
+            posted = encode_frame(m, reply=False)
+            assert len(posted) == len(encode_frame(m)) == framed_nbytes(m)
+            assert posted[4] == m.kind | NO_REPLY
+            back, _ = decode_frame(posted)
+            assert back.kind == m.kind and back.session_id == m.session_id

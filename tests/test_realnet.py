@@ -2,20 +2,23 @@
 
 import socket
 import struct
+import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from swarmpipe.client import FinetuneSession, SwarmClient
 from swarmpipe.directory import DirectoryBoard, DirectoryHandler
-from swarmpipe.errors import ConnectionFailed, ProtocolError
+from swarmpipe.errors import ConnectionFailed, MessageDropped, ProtocolError
 from swarmpipe.model import ModelConfig, init_model, reference_generate
-from swarmpipe.realnet import DirectoryClient, RealNetwork
+from swarmpipe.realnet import DirectoryClient, RealNetwork, _recv_frame
 from swarmpipe.server import BlockServer, RealServerEngine, ServerCfg
 from swarmpipe.swarm import stage_intervals
-from swarmpipe.wire import Ping, Pong, WireMessage, encode_frame, framed_nbytes
+from swarmpipe.wire import (MAGIC, Close, Error, Kind, Ping, Pong, WireMessage, encode_frame,
+                            fnv1a64, framed_nbytes)
 
 
 @pytest.fixture()
@@ -122,6 +125,139 @@ def test_peer_reset_closes_the_stream_quietly(tcp_swarm):
         conn.sendall(raw[:10])
     time.sleep(0.2)
     assert net.ping("cli", "s0") > 0
+
+
+@pytest.mark.parametrize("kind", [99, Kind.STEP], ids=["unknown-kind", "empty-step"])
+def test_malformed_frame_closes_only_its_connection(tcp_swarm, kind):
+    """A frame whose checksum holds but whose kind or payload does not parse
+    ends that connection; the node raises nothing and keeps serving."""
+    cfg, net = tcp_swarm
+    frame = (MAGIC + bytes([kind]) + bytes(16) + bytes(8)
+             + fnv1a64(b"").to_bytes(8, "little"))
+    with socket.create_connection(net._addrs["s0"], timeout=2.0) as conn:
+        conn.sendall(frame)
+        assert conn.recv(64) == b""
+    assert net.ping("cli", "s0") > 0
+
+
+def test_post_counts_the_request_frame_only(tcp_swarm):
+    """A posted frame asks for no reply, so the listener writes none and
+    counts the request alone, as ``SimNetwork.post`` does."""
+    cfg, net = tcp_swarm
+    close = WireMessage(Close(), 7)
+    before = net.total_bytes()
+    assert net.post("cli", "s0", close)
+    net.ping("cli", "s0")    # the same pooled connection: handled after the CLOSE
+    assert framed_nbytes(close) == 37
+    assert net.total_bytes() - before == 37 + 74
+
+
+def test_generate_connects_once_per_peer(tcp_swarm, monkeypatch):
+    cfg, net = tcp_swarm
+    opened = []
+    connect = RealNetwork._connect
+    monkeypatch.setattr(RealNetwork, "_connect",
+                        lambda self, dst: opened.append(dst) or connect(self, dst))
+    client = SwarmClient("cli", cfg, net, DirectoryClient(net, client_name="cli"))
+    assert client.generate([9, 8, 7], 12).tokens == reference_generate(cfg, [9, 8, 7], 12)
+    assert {"s0", "s1"} <= set(opened)
+    assert max(Counter(opened).values()) == 1
+
+
+class _SlowFirstReply:
+    """Answers its first request only after the client's timeout."""
+
+    def __init__(self, delay_s: float):
+        self.delay_s = delay_s
+        self.calls = 0
+        self.late_sent = threading.Event()
+
+    def handle(self, msg, ctx):
+        self.calls += 1
+        if self.calls == 1:
+            time.sleep(self.delay_s)
+            self.late_sent.set()
+            return WireMessage(Error("late", "the answer to the first request"))
+        return WireMessage(Pong())
+
+
+def test_late_reply_is_never_read_by_the_next_request():
+    net = RealNetwork(timeout_s=0.2)
+    slow = _SlowFirstReply(0.4)
+    net.register("slow", slow)
+    try:
+        with pytest.raises(MessageDropped):
+            net.rpc("cli", "slow", WireMessage(Ping()))
+        assert slow.late_sent.wait(2.0)
+        reply = net.rpc("cli", "slow", WireMessage(Ping()))
+        assert isinstance(reply.payload, Pong)
+    finally:
+        net.shutdown()
+
+
+class _Echo:
+    def handle(self, msg, ctx):
+        return WireMessage(Pong())
+
+
+def test_threads_sharing_the_pool_each_read_their_own_replies(monkeypatch):
+    """More threads than cores post and call one node through one pool, with
+    a short switch interval: every reply carries its own request's session
+    id, no connection is opened beyond one per thread, and the node counts
+    every frame once."""
+    net = RealNetwork(timeout_s=5.0)
+    net.register("echo", _Echo())
+    opened = []
+    connect = RealNetwork._connect
+    monkeypatch.setattr(RealNetwork, "_connect",
+                        lambda self, dst: opened.append(dst) or connect(self, dst))
+    n_threads, rounds = 6, 40
+    wrong = []
+
+    def work(t):
+        for i in range(rounds):
+            sid = t * rounds + i + 1
+            net.post("cli", "echo", WireMessage(Close(), sid))
+            if net.rpc("cli", "echo", WireMessage(Ping(), sid)).session_id != sid:
+                wrong.append(sid)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(30.0)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert wrong == []
+        assert 1 <= len(opened) <= n_threads
+        want = n_threads * rounds * (37 + 74)
+        deadline = time.monotonic() + 2.0
+        while net.total_bytes() < want and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert net.total_bytes() == want
+    finally:
+        net.shutdown()
+
+
+def test_half_sent_frame_does_not_stall_the_node(tcp_swarm):
+    """The node buffers a peer's partial frame and serves others meanwhile;
+    the frame is answered once its last byte arrives."""
+    cfg, net = tcp_swarm
+    raw = encode_frame(WireMessage(Ping(), 5))
+    with socket.create_connection(net._addrs["s0"], timeout=2.0) as stalled:
+        stalled.sendall(raw[:10])
+        time.sleep(0.05)
+        t0 = time.monotonic()
+        assert net.ping("cli", "s0") > 0
+        assert time.monotonic() - t0 < 1.0
+        stalled.sendall(raw[10:])
+        reply = _recv_frame(stalled)
+        assert isinstance(reply.payload, Pong) and reply.session_id == 5
 
 
 def test_shutdown_stops_every_thread():
