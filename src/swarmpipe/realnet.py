@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import selectors
 import socket
+import sys
 import threading
 import time
 
@@ -272,7 +273,7 @@ class _Listener:
     def _receive(self, conn: socket.socket, buf: bytearray) -> bool:
         """Read what has arrived on ``conn`` and handle every complete frame
         in ``buf``; False when the connection is to be closed (EOF, reset, a
-        malformed frame, a failed reply)."""
+        malformed frame, a handler error, a failed reply)."""
         try:
             chunk = conn.recv(RECV_BYTES)
         except OSError:
@@ -290,7 +291,14 @@ class _Listener:
                 msg, _ = decode_frame(frame)
             except ProtocolError:
                 return False
-            reply = self.handler.handle(msg, self._ctx)
+            try:
+                reply = self.handler.handle(msg, self._ctx)
+            except Exception:
+                # a request the handler cannot serve costs its connection,
+                # not the node; the error is reported as a thread's would be
+                threading.excepthook(threading.ExceptHookArgs(
+                    (*sys.exc_info(), threading.current_thread())))
+                return False
             out = b""
             if reply is not None and not frame[4] & NO_REPLY:
                 reply.session_id = msg.session_id

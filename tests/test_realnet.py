@@ -17,8 +17,8 @@ from swarmpipe.model import ModelConfig, init_model, reference_generate
 from swarmpipe.realnet import DirectoryClient, RealNetwork, _recv_frame
 from swarmpipe.server import BlockServer, RealServerEngine, ServerCfg
 from swarmpipe.swarm import stage_intervals
-from swarmpipe.wire import (MAGIC, Close, Error, Kind, Ping, Pong, WireMessage, encode_frame,
-                            fnv1a64, framed_nbytes)
+from swarmpipe.wire import (MAGIC, Close, Error, HiddenBlob, Kind, OpenSession, Ping, Pong,
+                            Step, WireMessage, encode_frame, fnv1a64, framed_nbytes)
 
 
 @pytest.fixture()
@@ -137,6 +137,21 @@ def test_malformed_frame_closes_only_its_connection(tcp_swarm, kind):
     with socket.create_connection(net._addrs["s0"], timeout=2.0) as conn:
         conn.sendall(frame)
         assert conn.recv(64) == b""
+    assert net.ping("cli", "s0") > 0
+
+
+def test_handler_error_closes_only_its_connection(tcp_swarm, monkeypatch):
+    """A well-formed STEP whose activations do not fit the model makes the
+    handler raise: the error is reported through ``threading.excepthook``,
+    the request's connection closes, and the node keeps serving."""
+    cfg, net = tcp_swarm
+    reported = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: reported.append(args.exc_type))
+    net.rpc("cli", "s0", WireMessage(OpenSession(0, 1), 9))
+    bad = HiddenBlob.from_array(np.zeros((1, cfg.hidden_dim + 1), np.float32))
+    with pytest.raises(ConnectionFailed):
+        net.rpc("cli", "s0", WireMessage(Step(0, bad), 9))
+    assert reported == [ValueError]
     assert net.ping("cli", "s0") > 0
 
 
