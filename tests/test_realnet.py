@@ -167,12 +167,18 @@ def test_post_counts_the_request_frame_only(tcp_swarm):
     assert net.total_bytes() - before == 37 + 74
 
 
-def test_generate_connects_once_per_peer(tcp_swarm, monkeypatch):
-    cfg, net = tcp_swarm
-    opened = []
+@pytest.fixture()
+def opened(monkeypatch) -> list[str]:
+    """The destination of every connection ``RealNetwork`` opens."""
+    dsts = []
     connect = RealNetwork._connect
     monkeypatch.setattr(RealNetwork, "_connect",
-                        lambda self, dst: opened.append(dst) or connect(self, dst))
+                        lambda self, dst: dsts.append(dst) or connect(self, dst))
+    return dsts
+
+
+def test_generate_connects_once_per_peer(tcp_swarm, opened):
+    cfg, net = tcp_swarm
     client = SwarmClient("cli", cfg, net, DirectoryClient(net, client_name="cli"))
     assert client.generate([9, 8, 7], 12).tokens == reference_generate(cfg, [9, 8, 7], 12)
     assert {"s0", "s1"} <= set(opened)
@@ -215,17 +221,13 @@ class _Echo:
         return WireMessage(Pong())
 
 
-def test_threads_sharing_the_pool_each_read_their_own_replies(monkeypatch):
+def test_threads_sharing_the_pool_each_read_their_own_replies(opened):
     """More threads than cores post and call one node through one pool, with
     a short switch interval: every reply carries its own request's session
     id, no connection is opened beyond one per thread, and the node counts
     every frame once."""
     net = RealNetwork(timeout_s=5.0)
     net.register("echo", _Echo())
-    opened = []
-    connect = RealNetwork._connect
-    monkeypatch.setattr(RealNetwork, "_connect",
-                        lambda self, dst: opened.append(dst) or connect(self, dst))
     n_threads, rounds = 6, 40
     wrong = []
 
