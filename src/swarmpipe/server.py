@@ -332,6 +332,15 @@ class BlockServer:
                 "not_serving", f"serves [{self.start}, {self.end}), asked [{start}, {end})"))
         return None
 
+    def _misshaped(self, blob: HiddenBlob, rows: int) -> WireMessage | None:
+        """The refusal for activations that are not ``rows`` x ``hidden_dim``,
+        the shape the message's own fields declare."""
+        cols = self.engine.config.hidden_dim
+        if blob.rows != rows or blob.cols != cols:
+            return WireMessage(Error(
+                "protocol", f"blob is {blob.rows}x{blob.cols}, message declares {rows}x{cols}"))
+        return None
+
     def _ping(self, sid: int, p: Ping, ctx: HandlerContext) -> WireMessage:
         return WireMessage(Pong())
 
@@ -362,8 +371,11 @@ class BlockServer:
             return WireMessage(Error("desync", f"width {s.width} != {p.width}"))
         if p.position_offset + p.n_new > self.engine.config.max_seq_len:
             return WireMessage(Error("capacity", "sequence exceeds max_seq_len"))
-        n_blocks = s.end - s.start
         rows = p.width * p.n_new
+        refusal = self._misshaped(p.blob, rows)
+        if refusal is not None:
+            return refusal
+        n_blocks = s.end - s.start
         ctx.consume(self.cfg.stage_seconds(n_blocks, rows, p.n_new == 1))
         out = self.engine.run_cached(s.start, s.end, s.caches, p.blob,
                                      p.width, p.n_new, s.quantized)
@@ -380,6 +392,9 @@ class BlockServer:
             return WireMessage(Error("expired", "no such session"))
         if p.t > self.engine.config.max_seq_len:
             return WireMessage(Error("capacity", "history exceeds max_seq_len"))
+        refusal = self._misshaped(p.blob, p.width * p.t)
+        if refusal is not None:
+            return refusal
         s.caches = self.engine.make_caches(s.start, s.end, p.width)
         s.width = p.width
         s.positions = 0
@@ -416,10 +431,10 @@ class BlockServer:
         hit = self.replay.get(sid)
         if hit is not None and hit[0] == request:
             return hit[1]
-        refusal = self._not_serving(p.start, p.end)
+        rows = p.batch * p.tokens
+        refusal = self._not_serving(p.start, p.end) or self._misshaped(p.blob, rows)
         if refusal is not None:
             return refusal
-        rows = p.batch * p.tokens
         ctx.consume(self.cfg.stage_seconds(p.end - p.start, rows, False))
         record: list | None = [] if p.record else None
         out = self.engine.forward(p.start, p.end, p.blob, p.batch, p.tokens,
@@ -434,14 +449,14 @@ class BlockServer:
         return reply
 
     def _backward(self, sid: int, p: Backward, ctx: HandlerContext) -> WireMessage:
-        refusal = self._not_serving(p.start, p.end)
+        rows = p.batch * p.tokens
+        refusal = self._not_serving(p.start, p.end) or self._misshaped(p.blob, rows)
         if refusal is not None:
             return refusal
         record = self.forward_records.get((sid, p.req_id, p.start, p.end))
         if record is None:
             return WireMessage(Error("no_record",
                                      "no matching forward; repeat the pass"))
-        rows = p.batch * p.tokens
         ctx.consume(2 * self.cfg.stage_seconds(p.end - p.start, rows, False))
         out = self.engine.backward(p.start, p.end, p.blob, p.batch, p.tokens, record)
         return WireMessage(StepResult(0, out, p.batch, p.tokens))

@@ -8,7 +8,8 @@ Frame layout (all integers little-endian):
     16 bytes  session id
     8 bytes   payload length
     N bytes   payload (kind-specific)
-    8 bytes   FNV-1a 64 checksum of the payload
+    8 bytes   BLAKE2b-64 checksum of the payload: BLAKE2b with an 8-byte
+              digest (RFC 7693), read little-endian
 
 Inside the simulator messages travel as objects; ``framed_nbytes`` reports
 exactly what the byte encoding would occupy so the simulated byte counters
@@ -20,6 +21,7 @@ carry shape-only synthetic blobs that are never encoded.
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -35,16 +37,15 @@ HEADER_LEN = 4 + 1 + 16 + 8
 TRAILER_LEN = 8
 NO_REPLY = 0x80      # kind-byte flag: the sender reads no reply to this frame
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
 
 def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h ^= b
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
+    """The frame trailer: BLAKE2b-64 of ``data`` (an 8-byte digest, RFC
+    7693), read little-endian.
+
+    The name is a tracer hook: tracers patch ``wire.fnv1a64`` and
+    ``server.fnv1a64`` by name, so it stays until the next benchmark change
+    renames it together with them."""
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 class Kind(enum.IntEnum):

@@ -1,9 +1,12 @@
 """Wire codec: blockwise int8 quantization and frame round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmpipe import server, wire
 from swarmpipe.errors import ProtocolError
 from swarmpipe.quantize import dequantize_hidden, quantize_hidden
 from swarmpipe.wire import (MAGIC, NO_REPLY, Announce, Backward, Close, Error, Forward,
@@ -145,10 +148,22 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="magic"):
             decode_frame(bytes(raw))
 
-    def test_fnv_reference_vectors(self):
-        # standard FNV-1a 64 test values
-        assert fnv1a64(b"") == 0xCBF29CE484222325
-        assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+    def test_trailer_known_answers(self):
+        """The trailer is BLAKE2b with an 8-byte digest, read little-endian."""
+        assert fnv1a64(b"") == 0xb4b2797457a0a6e4
+        assert fnv1a64(b"a") == 0x2f42665b399ef840
+        assert encode_frame(WireMessage(Ping())).endswith(
+            hashlib.blake2b(b"", digest_size=8).digest())
+
+    def test_every_checksum_goes_through_the_tracer_hook(self, monkeypatch):
+        """Tracers patch ``wire.fnv1a64`` (and ``server.fnv1a64``) by name, so
+        both frame ends must checksum through that module attribute."""
+        calls = []
+        checksum = wire.fnv1a64
+        monkeypatch.setattr(wire, "fnv1a64", lambda data: calls.append(data) or checksum(data))
+        decode_frame(encode_frame(WireMessage(Ping())))
+        assert len(calls) == 2
+        assert server.fnv1a64 is checksum
 
     def test_quantized_step_halves_wire_size(self, rng):
         h = rng.standard_normal((16, 64)).astype(np.float32)

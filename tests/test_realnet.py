@@ -141,18 +141,35 @@ def test_malformed_frame_closes_only_its_connection(tcp_swarm, kind):
 
 
 def test_handler_error_closes_only_its_connection(tcp_swarm, monkeypatch):
-    """A well-formed STEP whose activations do not fit the model makes the
-    handler raise: the error is reported through ``threading.excepthook``,
-    the request's connection closes, and the node keeps serving."""
+    """A handler that raises on a well-formed STEP has the error reported
+    through ``threading.excepthook``; the request's connection closes, and
+    the node keeps serving."""
     cfg, net = tcp_swarm
     reported = []
     monkeypatch.setattr(threading, "excepthook", lambda args: reported.append(args.exc_type))
+
+    def fail(*args):
+        raise ValueError("engine failure")
+
+    monkeypatch.setattr(RealServerEngine, "run_cached", fail)
     net.rpc("cli", "s0", WireMessage(OpenSession(0, 1), 9))
-    bad = HiddenBlob.from_array(np.zeros((1, cfg.hidden_dim + 1), np.float32))
+    x = HiddenBlob.from_array(np.zeros((1, cfg.hidden_dim), np.float32))
     with pytest.raises(ConnectionFailed):
-        net.rpc("cli", "s0", WireMessage(Step(0, bad), 9))
+        net.rpc("cli", "s0", WireMessage(Step(0, x), 9))
     assert reported == [ValueError]
     assert net.ping("cli", "s0") > 0
+
+
+def test_misshaped_step_is_refused_on_a_pooled_connection(tcp_swarm, opened):
+    """A STEP whose activations have one column too many gets a protocol
+    error; the connection stays pooled and no handler error is raised."""
+    cfg, net = tcp_swarm
+    net.rpc("cli", "s0", WireMessage(OpenSession(0, 1), 9))
+    bad = HiddenBlob.from_array(np.zeros((1, cfg.hidden_dim + 1), np.float32))
+    reply = net.rpc("cli", "s0", WireMessage(Step(0, bad), 9))
+    assert isinstance(reply.payload, Error) and reply.payload.code == "protocol"
+    assert net.ping("cli", "s0") > 0
+    assert opened.count("s0") == 1 and len(net._idle["s0"]) == 1
 
 
 def test_post_counts_the_request_frame_only(tcp_swarm):

@@ -297,6 +297,39 @@ class TestTraining:
         assert not np.array_equal(ga, gb)
 
 
+class TestMisshapedActivations:
+    """Activations whose rows or columns disagree with what the message
+    declares get a protocol error, and the session is left as it was."""
+
+    @staticmethod
+    def _request(kind, blob):
+        # each declares 2 x 3 = 6 rows; req_id 2 is not the recorded forward's
+        return {"step": Step(0, blob, 2, 3), "restore": Restore(3, blob, 2),
+                "forward": Forward(2, blob, 2, 3, 0, 4),
+                "backward": Backward(1, blob, 2, 3, 0, 4)}[kind]
+
+    @pytest.mark.parametrize("kind", ["step", "restore", "forward", "backward"])
+    @pytest.mark.parametrize("shape", [(7, 64), (6, 65)], ids=["rows", "cols"])
+    def test_refused_with_protocol_error(self, sim, cfg, rng, kind, shape):
+        net, board = sim
+        srv = _server(net, board, cfg)
+        good = HiddenBlob.from_array(rng.standard_normal((6, cfg.hidden_dim)).astype(np.float32))
+        _rpc(net, srv, OpenSession(0, 4, width=2))
+        _rpc(net, srv, Forward(1, good, 2, 3, 0, 4, record=True))
+        bad = HiddenBlob.from_array(rng.standard_normal(shape).astype(np.float32))
+        res = _rpc(net, srv, self._request(kind, bad))
+        assert isinstance(res.payload, Error) and res.payload.code == "protocol"
+        assert isinstance(_rpc(net, srv, Step(0, good, 2, 3)).payload, StepResult)
+
+    def test_shape_only_blobs_are_checked(self, sim, cfg):
+        net, board = sim
+        srv = _server(net, board, cfg, engine=TimedServerEngine(cfg))
+        _rpc(net, srv, OpenSession(0, 4))
+        res = _rpc(net, srv, Step(0, HiddenBlob.shape_only(2, 64), 1, 1))
+        assert isinstance(res.payload, Error) and res.payload.code == "protocol"
+        assert srv.sessions[1].caches.length == 0
+
+
 class TestInjection:
     def test_crash_after_messages(self, sim, cfg):
         net, board = sim
