@@ -6,8 +6,8 @@ import numpy as np
 
 from swarmpipe import ModelConfig, reference_beam
 from swarmpipe.netsim import NetProfile
-from swarmpipe.quantize import dequantize_hidden, quantize_hidden
 from swarmpipe.swarm import build_sim_swarm
+from swarmpipe.wire import HiddenBlob
 
 cfg = ModelConfig(seed=1)
 
@@ -23,10 +23,10 @@ for hyp, score in res.beams:
 
 # the codec: blockwise absmax int8, error bounded by scale, ~27% of raw size
 h = np.random.default_rng(0).standard_normal((16, 64)).astype(np.float32) * 3
-q = quantize_hidden(h)
-err = np.abs(dequantize_hidden(q) - h).max()
-print(f"\ncodec: {q.encoded_nbytes()} bytes vs {h.nbytes} raw "
-      f"({q.encoded_nbytes() / h.nbytes:.0%}), max error {err:.4f} "
+coded, raw = HiddenBlob.from_array(h, quantized=True), HiddenBlob.from_array(h)
+err = np.abs(coded.array() - h).max()
+print(f"\ncodec: {coded.nbytes()} bytes vs {raw.nbytes()} raw "
+      f"({coded.nbytes() / raw.nbytes():.0%}), max error {err:.4f} "
       f"(bound {np.abs(h.reshape(-1, 64)).max(1).max() / 127:.4f})")
 
 # quantized wire mode: same protocol, coded stage-to-stage activations;

@@ -8,7 +8,6 @@ that stops refreshing disappears from reads within one TTL.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -80,10 +79,11 @@ class DirectoryBoard:
                 return r
         return None
 
-    def dump_json(self) -> str:
+    def dump(self) -> dict:
+        """Every live record, by server id: the directory's read reply."""
         recs = sorted(self.snapshot(), key=lambda r: r.server_id)
-        return json.dumps({"n_blocks": self.n_blocks, "t": self._now(),
-                           "servers": [r.to_dict() for r in recs]}, sort_keys=True)
+        return {"n_blocks": self.n_blocks, "t": self._now(),
+                "servers": [r.to_dict() for r in recs]}
 
 
 def coverage(spans: Iterable[tuple[int, int, float]], n_blocks: int) -> list[float]:
@@ -142,7 +142,7 @@ class DirectoryHandler:
             return WireMessage(Error("protocol", f"directory cannot serve {msg.kind.name}"))
         rec = msg.payload.record
         if not rec:
-            return WireMessage(Announce(json.loads(self.board.dump_json())))
+            return WireMessage(Announce(self.board.dump()))
         try:
             if rec.get("state") == STATE_OFFLINE:
                 self.board.withdraw(rec["server_id"])

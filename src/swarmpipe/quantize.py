@@ -36,10 +36,6 @@ class QuantizedHidden:
     def n_blocks(self) -> int:
         return self.scales.shape[0]
 
-    def encoded_nbytes(self) -> int:
-        # scales + codes; shape/block_size live in the payload header
-        return 4 * self.n_blocks + self.codes.size
-
 
 def _padded_rows(shape: tuple[int, ...], block_size: int) -> tuple[int, int, int]:
     """(rows, cols, padded row width) for a matrix of ``shape``."""

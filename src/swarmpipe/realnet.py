@@ -9,8 +9,10 @@ request. ``post`` sets the frame's ``NO_REPLY`` bit and returns once the
 frame is sent. Server side, each node runs one thread: a ``selectors`` loop
 that accepts connections, buffers each one's bytes without blocking, and
 handles every complete frame in arrival order, so handlers are serialized
-per node and one peer's half-sent frame stalls no other. Client-side latency
-estimates come from PING round trips smoothed with alpha = 0.5.
+per node and one peer's half-sent frame stalls no other. ``wire`` alone knows
+the frame layout: its ``frame_len`` and ``wants_reply`` read the header.
+Client-side latency estimates come from PING round trips smoothed with
+alpha = 0.5.
 
 Time is the wall clock. Modelled costs (server compute charged through
 ``ctx.consume``, the client's cache bookkeeping) go to ``WallClock.charge``,
@@ -29,8 +31,8 @@ import time
 from .directory import DirectoryBoard, DirectoryHandler, ServerInfo
 from .errors import ConnectionFailed, MessageDropped, ProtocolError, Unreachable
 from .netsim import HandlerContext, NetProfile
-from .wire import (Announce, HEADER_LEN, NO_REPLY, Ping, Pong, TRAILER_LEN, WireMessage,
-                   decode_frame, encode_frame)
+from .wire import (Announce, HEADER_LEN, Ping, Pong, WireMessage, decode_frame, encode_frame,
+                   frame_len, wants_reply)
 
 RTT_SMOOTH_ALPHA = 0.5
 RECV_BYTES = 1 << 16     # a listener's read per readiness event
@@ -88,8 +90,7 @@ def _recv_exact(conn: socket.socket, n: int) -> bytes:
 
 def _recv_frame(conn: socket.socket) -> WireMessage:
     head = _recv_exact(conn, HEADER_LEN)
-    plen = int.from_bytes(head[21:29], "little")
-    rest = _recv_exact(conn, plen + TRAILER_LEN)
+    rest = _recv_exact(conn, frame_len(head) - HEADER_LEN)
     msg, _ = decode_frame(head + rest)
     return msg
 
@@ -282,7 +283,7 @@ class _Listener:
             return False
         buf += chunk
         while len(buf) >= HEADER_LEN:
-            end = HEADER_LEN + int.from_bytes(buf[21:29], "little") + TRAILER_LEN
+            end = frame_len(buf)
             if len(buf) < end:
                 break
             frame = bytes(buf[:end])
@@ -300,7 +301,7 @@ class _Listener:
                     (*sys.exc_info(), threading.current_thread())))
                 return False
             out = b""
-            if reply is not None and not frame[4] & NO_REPLY:
+            if reply is not None and wants_reply(frame):
                 reply.session_id = msg.session_id
                 out = encode_frame(reply)
             self.bytes_seen += end + len(out)

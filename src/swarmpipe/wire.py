@@ -11,11 +11,14 @@ Frame layout (all integers little-endian):
     8 bytes   BLAKE2b-64 checksum of the payload: BLAKE2b with an 8-byte
               digest (RFC 7693), read little-endian
 
-Inside the simulator messages travel as objects; ``framed_nbytes`` reports
-exactly what the byte encoding would occupy so the simulated byte counters
-match the real transport (asserted in tests). Activation blobs may be raw
-float32 (row-major) or blockwise int8 per quantize.py, and the simulator may
-carry shape-only synthetic blobs that are never encoded.
+Each payload type is described once, by its ``_CODECS`` entry: kind, fixed
+fields, whether a blob follows, encode, decode and size. Inside the simulator
+messages travel as objects; ``framed_nbytes`` sizes them from the same
+entries, so the simulated byte counters match the real transport, and
+``decode_frame`` refuses a payload of any other length. Activation blobs may
+be raw float32 (row-major) or blockwise int8 per quantize.py, and the
+simulator may carry shape-only synthetic blobs that are never encoded. Other
+modules read no header byte: they ask ``frame_len`` and ``wants_reply``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import enum
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,7 +37,8 @@ from .quantize import (BLOCK_SIZE, QuantizedHidden, dequantize_hidden, n_blocks_
                        quantize_hidden)
 
 MAGIC = b"SWP1"
-HEADER_LEN = 4 + 1 + 16 + 8
+_HEADER = struct.Struct("<4sB16sQ")   # magic, kind byte, session id, payload length
+HEADER_LEN = _HEADER.size
 TRAILER_LEN = 8
 NO_REPLY = 0x80      # kind-byte flag: the sender reads no reply to this frame
 
@@ -149,15 +154,6 @@ class HiddenBlob:
 # payloads
 # ---------------------------------------------------------------------------
 
-# reserved fields are written as 0 and ignored on decode; they keep every
-# frame the size it had in SWP1 and go with the next magic bump
-_OPEN = struct.Struct("<IIHB12x")    # start, end, width, flags, reserved
-_STEP = struct.Struct("<IHH8x")       # position_offset, width, n_new, reserved
-_RESTORE = struct.Struct("<IHB")      # t, width, want_outputs
-_FORWARD = struct.Struct("<QBIIII")   # req_id, flags, batch, tokens, start, end
-_BACKWARD = struct.Struct("<QIIII")   # req_id, batch, tokens, start, end
-
-
 @dataclass
 class OpenSession:
     start: int
@@ -246,33 +242,97 @@ class Error:
 Payload = (OpenSession | Step | StepResult | Restore | Reorder | Forward
            | Backward | Ping | Pong | Announce | Close | Error)
 
-_KIND_OF = {
-    OpenSession: Kind.OPEN_SESSION, Step: Kind.STEP, StepResult: Kind.STEP_RESULT,
-    Restore: Kind.RESTORE, Reorder: Kind.REORDER, Forward: Kind.FORWARD,
-    Backward: Kind.BACKWARD, Ping: Kind.PING, Pong: Kind.PONG,
-    Announce: Kind.ANNOUNCE, Close: Kind.CLOSE, Error: Kind.ERROR,
+
+class _Codec(NamedTuple):
+    """One payload type on the wire: its kind byte, its encoding, the
+    payload an encoding decodes to, and the encoding's length."""
+
+    kind: Kind
+    encode: Callable[[Payload], bytes]
+    decode: Callable[[bytes], Payload]
+    nbytes: Callable[[Payload], int]
+
+
+def _fields(kind: Kind, fmt: str, values: Callable, build: Callable,
+            blob: bool = False) -> _Codec:
+    """Fixed fields packed as ``fmt``, then an activation blob when ``blob``.
+    ``values(p)`` lists a payload's fields in ``fmt`` order; ``build`` makes
+    the payload from them, with the blob as its last argument."""
+    fixed = struct.Struct(fmt)
+    n = fixed.size
+    if not blob:
+        return _Codec(kind, lambda p: fixed.pack(*values(p)),
+                      lambda buf: build(*fixed.unpack_from(buf)), lambda p: n)
+    return _Codec(kind, lambda p: fixed.pack(*values(p)) + p.blob.encode(),
+                  lambda buf: build(*fixed.unpack_from(buf), HiddenBlob.decode(buf, n)[0]),
+                  lambda p: n + p.blob.nbytes())
+
+
+def _canon_json(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _json(kind: Kind, obj: Callable, build: Callable) -> _Codec:
+    """Canonical JSON of the object ``obj(p)``: sorted keys, no spaces,
+    ASCII. ``build`` makes the payload from a decoded object."""
+    def decode(buf: bytes) -> Payload:
+        o = json.loads(buf.decode())
+        if not isinstance(o, dict):
+            raise ProtocolError("JSON payload is not an object")
+        return build(o)
+    return _Codec(kind, lambda p: _canon_json(obj(p)), decode,
+                  lambda p: len(_canon_json(obj(p))))
+
+
+def _decode_reorder(buf: bytes) -> Reorder:
+    (n,) = struct.unpack_from("<H", buf)
+    return Reorder(list(struct.unpack_from(f"<{n}H", buf, 2)))
+
+
+# Every payload type's layout, once; ``docs/wire.md`` mirrors it. Integers
+# are little-endian. Reserved bytes (``x``) are written as 0 and ignored on
+# decode; they keep every frame the size it had in SWP1 and go with the
+# next magic bump.
+_CODECS: dict[type, _Codec] = {
+    OpenSession: _fields(
+        Kind.OPEN_SESSION, "<IIHB12x",
+        lambda p: (p.start, p.end, p.width, bool(p.quantized)),
+        lambda start, end, width, flags: OpenSession(start, end, width, bool(flags & 1))),
+    Step: _fields(
+        Kind.STEP, "<IHH8x", lambda p: (p.position_offset, p.width, p.n_new),
+        lambda pos, width, n_new, blob: Step(pos, blob, width, n_new), blob=True),
+    StepResult: _fields(
+        Kind.STEP_RESULT, "<IHH8x", lambda p: (p.position_offset, p.width, p.n_new),
+        lambda pos, width, n_new, blob: StepResult(pos, blob, width, n_new), blob=True),
+    Restore: _fields(
+        Kind.RESTORE, "<IHB", lambda p: (p.t, p.width, bool(p.want_outputs)),
+        lambda t, width, want, blob: Restore(t, blob, width, bool(want)), blob=True),
+    Reorder: _Codec(
+        Kind.REORDER,
+        lambda p: struct.pack(f"<H{len(p.indices)}H", len(p.indices), *p.indices),
+        _decode_reorder, lambda p: 2 + 2 * len(p.indices)),
+    Forward: _fields(
+        Kind.FORWARD, "<QBIIII",
+        lambda p: (p.req_id, bool(p.record) | bool(p.quantize_reply) << 1,
+                   p.batch, p.tokens, p.start, p.end),
+        lambda req_id, flags, batch, tokens, start, end, blob: Forward(
+            req_id, blob, batch, tokens, start, end, bool(flags & 1), bool(flags & 2)),
+        blob=True),
+    Backward: _fields(
+        Kind.BACKWARD, "<QIIII", lambda p: (p.req_id, p.batch, p.tokens, p.start, p.end),
+        lambda req_id, batch, tokens, start, end, blob: Backward(
+            req_id, blob, batch, tokens, start, end),
+        blob=True),
+    Ping: _fields(Kind.PING, "", lambda p: (), Ping),
+    Pong: _fields(Kind.PONG, "", lambda p: (), Pong),
+    Announce: _json(Kind.ANNOUNCE, lambda p: p.record, Announce),
+    Close: _fields(Kind.CLOSE, "", lambda p: (), Close),
+    Error: _json(Kind.ERROR, lambda p: {"code": p.code, "detail": p.detail},
+                 lambda o: Error(o["code"], o["detail"])),
 }
-
-
-def kind_of(payload: Payload) -> Kind:
-    return _KIND_OF[type(payload)]
-
-
-# payload size by type; a blob payload is its fixed fields plus its blob
-_NBYTES = {
-    OpenSession: lambda p: _OPEN.size,
-    Step: lambda p: _STEP.size + p.blob.nbytes(),
-    StepResult: lambda p: _STEP.size + p.blob.nbytes(),
-    Restore: lambda p: _RESTORE.size + p.blob.nbytes(),
-    Reorder: lambda p: 2 + 2 * len(p.indices),
-    Forward: lambda p: _FORWARD.size + p.blob.nbytes(),
-    Backward: lambda p: _BACKWARD.size + p.blob.nbytes(),
-    Ping: lambda p: 0,
-    Pong: lambda p: 0,
-    Close: lambda p: 0,
-    Announce: lambda p: len(_canon_json(p.record)),
-    Error: lambda p: len(_canon_json({"code": p.code, "detail": p.detail})),
-}
+_BY_KIND = {c.kind: c for c in _CODECS.values()}
+# the simulator sizes every leg: one flat lookup, no codec object per call
+_NBYTES = {t: c.nbytes for t, c in _CODECS.items()}
 
 
 def payload_nbytes(payload: Payload) -> int:
@@ -282,81 +342,11 @@ def payload_nbytes(payload: Payload) -> int:
     return size(payload)
 
 
-def _canon_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-
-
 def encode_payload(payload: Payload) -> bytes:
-    if isinstance(payload, OpenSession):
-        return _OPEN.pack(payload.start, payload.end, payload.width,
-                          1 if payload.quantized else 0)
-    if isinstance(payload, (Step, StepResult)):
-        return _STEP.pack(payload.position_offset, payload.width,
-                          payload.n_new) + payload.blob.encode()
-    if isinstance(payload, Restore):
-        return _RESTORE.pack(payload.t, payload.width,
-                             1 if payload.want_outputs else 0) + payload.blob.encode()
-    if isinstance(payload, Reorder):
-        return struct.pack(f"<H{len(payload.indices)}H", len(payload.indices), *payload.indices)
-    if isinstance(payload, Forward):
-        flags = (1 if payload.record else 0) | (2 if payload.quantize_reply else 0)
-        return _FORWARD.pack(payload.req_id, flags, payload.batch, payload.tokens,
-                             payload.start, payload.end) + payload.blob.encode()
-    if isinstance(payload, Backward):
-        return _BACKWARD.pack(payload.req_id, payload.batch, payload.tokens,
-                              payload.start, payload.end) + payload.blob.encode()
-    if isinstance(payload, (Ping, Pong, Close)):
-        return b""
-    if isinstance(payload, Announce):
-        return _canon_json(payload.record)
-    if isinstance(payload, Error):
-        return _canon_json({"code": payload.code, "detail": payload.detail})
-    raise ProtocolError(f"unknown payload {type(payload)}")
-
-
-def decode_payload(kind: Kind, buf: bytes) -> Payload:
-    if kind == Kind.OPEN_SESSION:
-        start, end, width, flags = _OPEN.unpack_from(buf)
-        return OpenSession(start, end, width, bool(flags & 1))
-    if kind in (Kind.STEP, Kind.STEP_RESULT):
-        pos, width, n_new = _STEP.unpack_from(buf)
-        blob, _ = HiddenBlob.decode(buf, _STEP.size)
-        cls = Step if kind == Kind.STEP else StepResult
-        return cls(pos, blob, width, n_new)
-    if kind == Kind.RESTORE:
-        t, width, want = _RESTORE.unpack_from(buf)
-        blob, _ = HiddenBlob.decode(buf, _RESTORE.size)
-        return Restore(t, blob, width, bool(want))
-    if kind == Kind.REORDER:
-        (n,) = struct.unpack_from("<H", buf)
-        return Reorder(list(struct.unpack_from(f"<{n}H", buf, 2)))
-    if kind == Kind.FORWARD:
-        req_id, flags, batch, tokens, start, end = _FORWARD.unpack_from(buf)
-        blob, _ = HiddenBlob.decode(buf, _FORWARD.size)
-        return Forward(req_id, blob, batch, tokens, start, end, bool(flags & 1), bool(flags & 2))
-    if kind == Kind.BACKWARD:
-        req_id, batch, tokens, start, end = _BACKWARD.unpack_from(buf)
-        blob, _ = HiddenBlob.decode(buf, _BACKWARD.size)
-        return Backward(req_id, blob, batch, tokens, start, end)
-    if kind == Kind.PING:
-        return Ping()
-    if kind == Kind.PONG:
-        return Pong()
-    if kind == Kind.CLOSE:
-        return Close()
-    if kind == Kind.ANNOUNCE:
-        return Announce(_json_object(buf))
-    if kind == Kind.ERROR:
-        obj = _json_object(buf)
-        return Error(obj["code"], obj.get("detail", ""))
-    raise ProtocolError(f"unknown kind {kind}")
-
-
-def _json_object(buf: bytes) -> dict:
-    obj = json.loads(buf.decode())
-    if not isinstance(obj, dict):
-        raise ProtocolError("JSON payload is not an object")
-    return obj
+    codec = _CODECS.get(type(payload))
+    if codec is None:
+        raise ProtocolError(f"unknown payload {type(payload)}")
+    return codec.encode(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -370,45 +360,57 @@ class WireMessage:
 
     @property
     def kind(self) -> Kind:
-        return kind_of(self.payload)
+        return _CODECS[type(self.payload)].kind
 
 
 def framed_nbytes(msg: WireMessage) -> int:
     return HEADER_LEN + payload_nbytes(msg.payload) + TRAILER_LEN
 
 
+def frame_len(head: bytes) -> int:
+    """The length of the whole frame whose first ``HEADER_LEN`` bytes are
+    ``head``."""
+    return HEADER_LEN + _HEADER.unpack_from(head)[3] + TRAILER_LEN
+
+
+def wants_reply(frame: bytes) -> bool:
+    """False when the frame's sender set ``NO_REPLY``."""
+    return not _HEADER.unpack_from(frame)[1] & NO_REPLY
+
+
 def encode_frame(msg: WireMessage, reply: bool = True) -> bytes:
     """The frame of ``msg``; ``reply=False`` sets ``NO_REPLY`` in the kind
     byte, which leaves the frame's size unchanged."""
     body = encode_payload(msg.payload)
-    head = (MAGIC + bytes([msg.kind if reply else msg.kind | NO_REPLY])
-            + msg.session_id.to_bytes(16, "little")
-            + len(body).to_bytes(8, "little"))
-    return head + body + fnv1a64(body).to_bytes(8, "little")
+    head = _HEADER.pack(MAGIC, msg.kind if reply else msg.kind | NO_REPLY,
+                        msg.session_id.to_bytes(16, "little"), len(body))
+    return head + body + fnv1a64(body).to_bytes(TRAILER_LEN, "little")
 
 
 def decode_frame(buf: bytes) -> tuple[WireMessage, int]:
     """Decode one frame; returns (message, bytes consumed). The ``NO_REPLY``
-    bit is ignored: the transport reads it from the header. Every malformed
-    frame raises ProtocolError: bad magic, a checksum mismatch, an unknown
-    kind, and a payload that does not parse as its kind."""
+    bit is ignored here: ``wants_reply`` reads it. Every malformed frame
+    raises ProtocolError: bad magic, a checksum mismatch, an unknown kind, a
+    payload that does not parse as its kind, and a payload longer or shorter
+    than its kind's encoding of what it decodes to."""
     if len(buf) < HEADER_LEN:
         raise ProtocolError("short frame header")
-    if buf[:4] != MAGIC:
+    magic, kind, session_id, plen = _HEADER.unpack_from(buf)
+    if magic != MAGIC:
         raise ProtocolError("bad magic")
-    session_id = int.from_bytes(buf[5:21], "little")
-    plen = int.from_bytes(buf[21:29], "little")
     end = HEADER_LEN + plen
     if len(buf) < end + TRAILER_LEN:
         raise ProtocolError("truncated frame")
     body = buf[HEADER_LEN:end]
-    checksum = int.from_bytes(buf[end:end + TRAILER_LEN], "little")
-    if fnv1a64(body) != checksum:
+    if fnv1a64(body) != int.from_bytes(buf[end:end + TRAILER_LEN], "little"):
         raise ProtocolError("payload checksum mismatch")
     try:
-        payload = decode_payload(Kind(buf[4] & ~NO_REPLY), body)
+        payload = _BY_KIND[Kind(kind & ~NO_REPLY)].decode(body)
     except (ValueError, KeyError, TypeError, OverflowError, struct.error) as e:
         # unknown kind, short fixed fields, a blob past the payload's end,
         # bad UTF-8 or JSON
-        raise ProtocolError(f"malformed {buf[4]:#x} frame: {e}") from e
-    return WireMessage(payload, session_id), end + TRAILER_LEN
+        raise ProtocolError(f"malformed {kind:#x} frame: {e}") from e
+    nbytes = payload_nbytes(payload)
+    if nbytes != plen:
+        raise ProtocolError(f"{plen}-byte payload for a {nbytes}-byte {type(payload).__name__}")
+    return WireMessage(payload, int.from_bytes(session_id, "little")), end + TRAILER_LEN

@@ -40,11 +40,6 @@ class TestQuantize:
         errs = np.abs((back - h).ravel().reshape(-1, 64)).max(1)
         assert (errs <= bounds + 1e-7).all()
 
-    def test_encoded_size_under_half(self, rng):
-        h = rng.standard_normal((32, 64)).astype(np.float32)
-        q = quantize_hidden(h)
-        assert q.encoded_nbytes() < 0.5 * h.nbytes
-
     def test_rows_code_alike_alone_and_together(self, tiny_config, rng):
         """A RESTORE carries the rows that STEPs sent one at a time; with
         ``hidden_dim`` under 64 both must decode to the same values."""
@@ -89,6 +84,27 @@ def _all_kind_messages(rng):
     ]
 
 
+# sha256 of the frames in test_frame_bytes_of_every_kind_are_pinned
+_PINNED_DIGESTS = {
+    "announce": "ee1d087d174b1fe79a55df138b136cb46dc2f55fb5fcedae773706065b7fe776",
+    "backward_raw": "1d3e5883a5ec289e5c2dd63d9203ffd9ff2da2b850a1436d9c978d40c2dea82a",
+    "close": "13ce757bfe3ae041a590769636679898c0c4d0c9a61cd1e7dd8c8a5d0e2093b3",
+    "close_no_reply": "7cf8b04df2c1a6ba4b3a73ae2b2fce4c653860abb275bdfc06520573fc9412dc",
+    "error": "55d5c72e4311b902ff0cb92d75eaa4ba675fde9bbc15a13224f45e967a242f07",
+    "forward_int8": "06376d5153c7df2d2b3c7c42df05840fd024073bddf9ba1dd032fcb7b600017c",
+    "forward_raw": "1a3d74fa506a0ce30ff7bae9b27d8bc40cc2b2f5518d9f1c130de03720ceda7c",
+    "open_session": "dcc97b9b994d52059be59661718c79fc9def7ccbb0e2b7278d9447a6565bc449",
+    "ping": "914da3aeafabeb7ffbb76ca42c76aafd49b42d50b5df94ba465767e29c8daa00",
+    "pong": "c89290b26a8f9c294d0ed68216613c4111e27fa0444913e6731982ee4962286c",
+    "reorder": "91ed661ccad2ee2ffd094985f477a7dce8b42227b8a64ac96dc26230425abacb",
+    "restore_int8": "2c8b6bdc3a9e4d26632a63b0daddbb339decbd7e414b7c3250b034162df2ddb3",
+    "step_int8": "c707dc390c6329fddab815e1424d468ec493294c2cc6cec2266e24fba0ba2fab",
+    "step_raw": "4c455d75269bdfbc7dc6b9349ff633e2143d7fc7e3f9d6dda12a2e67e38389fd",
+    "step_result_int8": "d75c64a09549ead51252aed8e11ec3e62f661d702378d84b2bf3ca02e68fc4d5",
+    "step_result_raw": "77272c14f39ecc2b5443331db78cfa266a42f078f062db0f569457392919d760",
+}
+
+
 class TestFraming:
     def test_every_kind_round_trips(self, rng):
         msgs = _all_kind_messages(rng)
@@ -99,6 +115,7 @@ class TestFraming:
             assert used == len(raw)
             assert decoded.kind == m.kind
             assert decoded.session_id == m.session_id
+            assert encode_payload(decoded.payload) == encode_payload(m.payload)
 
     def test_framed_size_matches_encoding(self, rng):
         """Simulated byte counters must equal real encodings for every kind."""
@@ -135,6 +152,38 @@ class TestFraming:
         h = rng.standard_normal((1, 64)).astype(np.float32)
         step = WireMessage(Step(0, HiddenBlob.from_array(h), 1, 1), 7)
         assert len(encode_frame(step)) == framed_nbytes(step) == 318
+
+    def test_frame_bytes_of_every_kind_are_pinned(self):
+        """Frames built from arithmetic arrays hash to the digests recorded
+        when each kind had its own hand-written codec: a table entry that
+        moves, swaps or drops a field changes its kind's digest."""
+        h = (np.arange(5 * 64, dtype=np.float32).reshape(5, 64) - 150.0) / 16.0
+        raw, q = HiddenBlob.from_array(h), HiddenBlob.from_array(h, quantized=True)
+        sid = (1 << 127) | 0x0123456789abcdef
+        frames = {
+            "open_session": WireMessage(OpenSession(1, 7, 4, True), sid),
+            "step_raw": WireMessage(Step(300, raw, 1, 5), sid),
+            "step_int8": WireMessage(Step(300, q, 5, 1), sid),
+            "step_result_raw": WireMessage(StepResult(17, raw, 5, 1), sid),
+            "step_result_int8": WireMessage(StepResult(17, q, 1, 5), sid),
+            "restore_int8": WireMessage(Restore(5, q, 1, want_outputs=False), sid),
+            "reorder": WireMessage(Reorder([3, 1, 2, 2]), sid),
+            "forward_raw": WireMessage(Forward(2 ** 40 + 9, raw, 1, 5, 2, 6, record=True), 5),
+            "forward_int8": WireMessage(Forward(8, q, 5, 1, 0, 8, quantize_reply=True), 5),
+            "backward_raw": WireMessage(Backward(2 ** 40 + 9, raw, 1, 5, 2, 6), 5),
+            "ping": WireMessage(Ping()),
+            "pong": WireMessage(Pong(), 6),
+            "announce": WireMessage(Announce({"server_id": "s1", "address": "10.0.0.1:70",
+                                              "start": 2, "end": 6, "throughput": 12.25})),
+            "close": WireMessage(Close(), sid),
+            "error": WireMessage(Error("desync", "positions diverged"), sid),
+        }
+        digests = {name: hashlib.sha256(encode_frame(m)).hexdigest()
+                   for name, m in frames.items()}
+        digests["close_no_reply"] = hashlib.sha256(
+            encode_frame(frames["close"], reply=False)).hexdigest()
+        assert {m.kind for m in frames.values()} == set(Kind)
+        assert digests == _PINNED_DIGESTS
 
     def test_checksum_mismatch_detected(self, rng):
         raw = bytearray(encode_frame(_all_kind_messages(rng)[1]))
@@ -214,6 +263,9 @@ class TestMalformedFrames:
         pytest.param(Kind.ANNOUNCE, b"[1, 2]", id="announce-not-an-object"),
         pytest.param(Kind.ERROR, b"\xff\xfe", id="error-not-utf8"),
         pytest.param(Kind.ERROR, b'{"detail": "x"}', id="error-without-code"),
+        pytest.param(Kind.STEP, _VALID[1][1] + b"junk", id="step-trailing-bytes"),
+        pytest.param(Kind.OPEN_SESSION, _VALID[0][1] + b"\x00" * 40, id="open-trailing-bytes"),
+        pytest.param(Kind.PING, b"\x00", id="ping-with-payload"),
     ])
     def test_rejected_as_protocol_error(self, kind, body):
         with pytest.raises(ProtocolError):
@@ -235,7 +287,7 @@ class TestMalformedFrames:
             msg, used = decode_frame(_frame(kind, bytes(body)))
         except ProtocolError:
             return
-        assert isinstance(msg, WireMessage) and used == len(body) + 37
+        assert isinstance(msg, WireMessage) and used == len(body) + 37 == framed_nbytes(msg)
 
     def test_no_reply_bit_keeps_size_and_decodes_alike(self, rng):
         for m in _all_kind_messages(rng):
