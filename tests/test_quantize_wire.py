@@ -154,9 +154,9 @@ class TestFraming:
         assert len(encode_frame(step)) == framed_nbytes(step) == 318
 
     def test_frame_bytes_of_every_kind_are_pinned(self):
-        """Frames built from arithmetic arrays hash to the digests recorded
-        when each kind had its own hand-written codec: a table entry that
-        moves, swaps or drops a field changes its kind's digest."""
+        """Frames of every kind, built from arithmetic arrays, hash to pinned
+        digests: a codec entry that moves, swaps or drops a field changes its
+        kind's digest."""
         h = (np.arange(5 * 64, dtype=np.float32).reshape(5, 64) - 150.0) / 16.0
         raw, q = HiddenBlob.from_array(h), HiddenBlob.from_array(h, quantized=True)
         sid = (1 << 127) | 0x0123456789abcdef
