@@ -88,6 +88,21 @@ class _StageFailure(Exception):
         self.ban = ban              # False: a live server lost state; rebuild or repeat there
         self.dropped = dropped      # a lost message: the server may well be alive
 
+    @classmethod
+    def lost(cls, server_id: str, e: MessageDropped | ConnectionFailed) -> "_StageFailure":
+        """A stage RPC that got no reply."""
+        return cls(server_id, ban=True, reason=str(e), dropped=isinstance(e, MessageDropped))
+
+
+def _refused(server_id: str, err: Error) -> Exception:
+    """What a stage's ``Error`` reply raises in the client."""
+    if err.code in ("expired", "desync", "no_record"):
+        # a live server lost the state: rebuild it or repeat the pass there
+        return _StageFailure(server_id, ban=False, reason=err.code)
+    if err.code == "capacity":
+        return CapacityError(err.detail)
+    return _StageFailure(server_id, ban=True, reason=err.code)
+
 
 # ---------------------------------------------------------------------------
 # client payload engines
@@ -217,20 +232,13 @@ class SwarmClient:
 
     def _call_stage(self, stage: _Stage, payload):
         """One stage RPC with failures mapped to _StageFailure."""
+        server_id = stage.hop.server_id
         try:
-            reply = self.net.rpc(self.name, stage.server_id,
-                                 WireMessage(payload, stage.session_id))
+            reply = self.net.rpc(self.name, server_id, WireMessage(payload, stage.session_id))
         except (MessageDropped, ConnectionFailed) as e:
-            raise _StageFailure(stage.server_id, ban=True, reason=str(e),
-                                dropped=isinstance(e, MessageDropped))
+            raise _StageFailure.lost(server_id, e)
         if isinstance(reply.payload, Error):
-            err = reply.payload
-            if err.code in ("expired", "desync", "no_record"):
-                # a live server lost the state: rebuild it or repeat the pass there
-                raise _StageFailure(stage.server_id, ban=False, reason=err.code)
-            if err.code == "capacity":
-                raise CapacityError(err.detail)
-            raise _StageFailure(stage.server_id, ban=True, reason=err.code)
+            raise _refused(server_id, reply.payload)
         return reply.payload
 
     def _blob_from_rows(self, rows: np.ndarray | None, width: int, n_new: int,
@@ -325,22 +333,39 @@ class SwarmClient:
                 pass
 
     def _check_deadline(self, deadline: float | None) -> None:
-        if deadline is not None and self.clock.now >= deadline:
+        if deadline is not None and self.net.clock.now >= deadline:
             raise BudgetExhausted(f"simulated deadline reached at {self.clock.now:.1f}s")
 
     # -- the decode loop ----------------------------------------------------------
 
     def _step_stage(self, stage: _Stage, rows: np.ndarray | None, width: int, n_new: int,
                     quantized: bool, counters: RunCounters, record: bool):
-        blob = self._blob_from_rows(rows, width, n_new,
-                                    self._request_quantized(stage.hop, quantized))
-        res = self._call_stage(stage, Step(stage.rows_sent, blob, width, n_new))
+        """Send ``stage`` its next ``Step`` and return the rows it answers
+        (None on the timed engine). The decode loop's one RPC per stage per
+        token: ``_call_stage``, ``_blob_from_rows`` and ``_result_rows``
+        worked out inline."""
+        hop = stage.hop
+        d = self.config.hidden_dim
+        n = width * n_new
+        wire_q = self._request_quantized(hop, quantized)
+        blob = (HiddenBlob.shape_only(n, d, wire_q) if rows is None
+                else HiddenBlob.from_array(rows.reshape(n, -1), wire_q))
+        try:
+            reply = self.net.rpc(self.name, hop.server_id, WireMessage(
+                Step(stage.rows_sent, blob, width, n_new), stage.session_id))
+        except (MessageDropped, ConnectionFailed) as e:
+            raise _StageFailure.lost(hop.server_id, e)
+        res = reply.payload
+        if isinstance(res, Error):
+            raise _refused(hop.server_id, res)
         counters.messages += 1
-        counters.step_activation_bytes += width * n_new * self.config.hidden_dim * 4
-        if record:
+        counters.step_activation_bytes += n * d * 4
+        if record and rows is not None:
             stage.record(rows, width, n_new)
         stage.rows_sent += n_new
-        return self._result_rows(res, width, n_new)
+        if res.blob.synthetic:
+            return None
+        return res.blob.array().reshape(width, n_new, d)
 
     def _reorder_stage(self, stage: _Stage, parents0: list[int], counters: RunCounters):
         self._call_stage(stage, Reorder([p + 1 for p in parents0]))

@@ -28,6 +28,13 @@ forget sends (``post``) schedule their delivery effect on the clock agenda
 without blocking; timers (the servers' announce and rebalance loops) run the
 same way and interleave deterministically with client traffic. Churn needs no
 timer: ``online`` reads the schedule at the current time.
+
+Each endpoint keeps one ``HandlerContext`` per sender, made on the first
+message from it. A leg looks up only that context: it holds the sender's
+``LinkStats`` for both directions, the same objects ``links`` lists, so no
+leg builds a ``(src, dst)`` key. The reply direction's stats are made on the
+first reply leg, so ``links`` lists exactly the links a message crossed or
+was lost on.
 """
 
 from __future__ import annotations
@@ -138,12 +145,16 @@ class LinkStats:
 
 
 class HandlerContext:
-    """What a handler sees while serving one message, on either transport."""
+    """What a handler sees while serving one message, on either transport.
+    On the simulator it also holds the sender's link stats: ``up`` for
+    src -> dst, ``down`` for dst -> src (None until a reply leg needs it)."""
 
     def __init__(self, net, src: str, dst: str):
         self.net = net
         self.src = src
         self.dst = dst
+        self.up: LinkStats | None = None
+        self.down: LinkStats | None = None
 
     @property
     def now(self) -> float:
@@ -169,6 +180,7 @@ class _Endpoint:
         self.one_way_s = profile.one_way_s()
         self.always_on = not churn.intervals
         # per sender: the handler context, which holds nothing per message
+        # but the sender's link stats in both directions
         self.contexts: dict[str, HandlerContext] = {}
 
     def online(self, t: float) -> bool:
@@ -222,10 +234,11 @@ class SimNetwork:
             st = self.links[(src, dst)] = LinkStats()
         return st
 
-    def _context(self, ep: _Endpoint, src: str, dst: str) -> HandlerContext:
-        ctx = ep.contexts.get(src)
-        if ctx is None:
-            ctx = ep.contexts[src] = HandlerContext(self, src, dst)
+    def _new_context(self, ep: _Endpoint, src: str, dst: str) -> HandlerContext:
+        """The context of the first message from ``src`` to ``ep``, holding
+        the src -> dst link stats its leg is booked on."""
+        ctx = ep.contexts[src] = HandlerContext(self, src, dst)
+        ctx.up = self._link(src, dst)
         return ctx
 
     def total_bytes(self) -> int:
@@ -249,18 +262,18 @@ class SimNetwork:
                 self._record("conn_fail", src, dst, msg)
             raise ConnectionFailed(f"{dst} is offline")
         nbytes = framed_nbytes(msg)
+        ctx = ep.contexts.get(src) or self._new_context(ep, src, dst)
+        st = ctx.up
         if self._draw() < ep.drop_p:
-            self._link(src, dst).drops += 1
+            st.drops += 1
             if self.trace_enabled:
                 self._record("drop", src, dst, msg, nbytes)
             return False
-        st = self._link(src, dst)
         st.messages += 1
         st.bytes += nbytes
-        t_arrive = self.clock.now + ep.one_way_s + ep.profile.transfer_s(nbytes)
+        t_arrive = self.clock.now + ep.one_way_s + nbytes * 8.0 / ep.profile.bandwidth_bps
         if self.trace_enabled:
             self._record("send", src, dst, msg, nbytes, t_arrive)
-        ctx = self._context(ep, src, dst)
 
         def deliver() -> None:
             if ep.online(self.clock.now):
@@ -285,26 +298,28 @@ class SimNetwork:
                 self._record("conn_fail", src, dst, msg)
             raise ConnectionFailed(f"{dst} is offline")
         profile = ep.profile
+        bandwidth_bps = profile.bandwidth_bps
+        ctx = ep.contexts.get(src) or self._new_context(ep, src, dst)
 
         # request leg
+        st = ctx.up
         if self._draw() < ep.drop_p:
-            self._link(src, dst).drops += 1
+            st.drops += 1
             if self.trace_enabled:
                 self._record("drop", src, dst, msg, req_bytes)
             clock.advance(profile.detect_s(req_bytes))
             raise MessageDropped(f"request {msg.kind.name} to {dst} lost")
-        st = self._link(src, dst)
         st.messages += 1
         st.bytes += req_bytes
         if self.trace_enabled:
             self._record("send", src, dst, msg, req_bytes)
         # a leg adds (one way + transfer) to now, as one sum: regrouping it
         # moves virtual time in the last bits
-        clock.advance_to(clock.now + (ep.one_way_s + profile.transfer_s(req_bytes)))
+        clock.advance_to(clock.now + (ep.one_way_s + req_bytes * 8.0 / bandwidth_bps))
 
         # handler compute (may advance the clock via ctx.consume)
         try:
-            reply = ep.handler.handle(msg, self._context(ep, src, dst))
+            reply = ep.handler.handle(msg, ctx)
         except SimulatedCrash:
             ep.crashed = True
             if self.trace_enabled:
@@ -315,18 +330,20 @@ class SimNetwork:
 
         # reply leg
         rep_bytes = framed_nbytes(reply)
+        st = ctx.down
+        if st is None:
+            st = ctx.down = self._link(dst, src)
         if self._draw() < ep.drop_p:
-            self._link(dst, src).drops += 1
+            st.drops += 1
             if self.trace_enabled:
                 self._record("drop", dst, src, reply, rep_bytes)
             clock.advance(profile.detect_s(rep_bytes))
             raise MessageDropped(f"reply {reply.kind.name} from {dst} lost")
-        st = self._link(dst, src)
         st.messages += 1
         st.bytes += rep_bytes
         if self.trace_enabled:
             self._record("send", dst, src, reply, rep_bytes)
-        clock.advance_to(clock.now + (ep.one_way_s + profile.transfer_s(rep_bytes)))
+        clock.advance_to(clock.now + (ep.one_way_s + rep_bytes * 8.0 / bandwidth_bps))
         return reply
 
     def ping(self, src: str, dst: str, deadline_s: float = 5.0) -> float:

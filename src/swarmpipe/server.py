@@ -222,6 +222,8 @@ class BlockServer:
         self.handled = 0
         self.block_moves = 0
         self._timers_started = False
+        # (start, end) -> the ANNOUNCE of that interval
+        self._announcement: tuple[tuple[int, int], WireMessage] | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -236,10 +238,14 @@ class BlockServer:
         return measure_throughput(self.cfg.net_tokens_per_s, 32.0 / burst_s)
 
     def announce(self) -> None:
-        rec = ServerInfo(self.server_id, self.server_id, self.start, self.end,
-                         self.self_measure()).to_dict()
+        """Post this server's record to the directory. The message is built
+        once per interval and resent unchanged until the server moves."""
+        if self._announcement is None or self._announcement[0] != (self.start, self.end):
+            rec = ServerInfo(self.server_id, self.server_id, self.start, self.end,
+                             self.self_measure()).to_dict()
+            self._announcement = ((self.start, self.end), WireMessage(Announce.fixed(rec)))
         try:
-            self.net.post(self.server_id, self.directory_addr, WireMessage(Announce(rec)))
+            self.net.post(self.server_id, self.directory_addr, self._announcement[1])
         except Exception:
             pass
 
@@ -369,14 +375,15 @@ class BlockServer:
                 "desync", f"at position {s.positions}, step claims {p.position_offset}"))
         if p.width != s.width:
             return WireMessage(Error("desync", f"width {s.width} != {p.width}"))
-        if p.position_offset + p.n_new > self.engine.config.max_seq_len:
+        config = self.engine.config
+        if p.position_offset + p.n_new > config.max_seq_len:
             return WireMessage(Error("capacity", "sequence exceeds max_seq_len"))
         rows = p.width * p.n_new
-        refusal = self._misshaped(p.blob, rows)
-        if refusal is not None:
-            return refusal
-        n_blocks = s.end - s.start
-        ctx.consume(self.cfg.stage_seconds(n_blocks, rows, p.n_new == 1))
+        if p.blob.rows != rows or p.blob.cols != config.hidden_dim:
+            return self._misshaped(p.blob, rows)
+        # a stage holds at least one block, so this is positive: what
+        # ``ctx.consume`` would charge
+        ctx.net.clock.charge(self.cfg.stage_seconds(s.end - s.start, rows, p.n_new == 1))
         out = self.engine.run_cached(s.start, s.end, s.caches, p.blob,
                                      p.width, p.n_new, s.quantized)
         s.positions += p.n_new

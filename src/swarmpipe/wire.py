@@ -17,8 +17,11 @@ messages travel as objects; ``framed_nbytes`` sizes them from the same
 entries, so the simulated byte counters match the real transport, and
 ``decode_frame`` refuses a payload of any other length. Activation blobs may
 be raw float32 (row-major) or blockwise int8 per quantize.py, and the
-simulator may carry shape-only synthetic blobs that are never encoded. Other
-modules read no header byte: they ask ``frame_len`` and ``wants_reply``.
+simulator may carry shape-only synthetic blobs that are never encoded.
+``HiddenBlob.shape_only`` hands out one shared blob per (rows, cols,
+quantized), from a bounded cache, with its size worked out once: a shape-only
+blob is never mutated, by this module or any other. Other modules read no
+header byte: they ask ``frame_len`` and ``wants_reply``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ _HEADER = struct.Struct("<4sB16sQ")   # magic, kind byte, session id, payload le
 HEADER_LEN = _HEADER.size
 TRAILER_LEN = 8
 NO_REPLY = 0x80      # kind-byte flag: the sender reads no reply to this frame
+FRAME_OVERHEAD = HEADER_LEN + TRAILER_LEN
 
 
 def fnv1a64(data: bytes) -> int:
@@ -77,6 +81,7 @@ _QUANT_HEADER = struct.Struct("<II")          # block_size, n_blocks
 
 ENC_RAW = 0
 ENC_QUANT = 1
+SHAPE_CACHE_MAX = 128     # shared shape-only blobs kept; a full cache starts over
 
 
 @dataclass
@@ -89,6 +94,7 @@ class HiddenBlob:
     quant: QuantizedHidden | None = None
     synthetic: bool = False
     quantize_flag: bool = False   # synthetic blobs: which encoding to size as
+    _nbytes = None                # not a field: a shared shape-only blob's size
 
     @classmethod
     def from_array(cls, a: np.ndarray, quantized: bool = False) -> "HiddenBlob":
@@ -101,7 +107,17 @@ class HiddenBlob:
 
     @classmethod
     def shape_only(cls, rows: int, cols: int, quantized: bool = False) -> "HiddenBlob":
-        return cls(rows, cols, synthetic=True, quantize_flag=quantized)
+        """The shared synthetic blob of this shape; callers never mutate it."""
+        key = (rows, cols, quantized)
+        try:
+            return _SHAPES[key]
+        except KeyError:
+            pass
+        if len(_SHAPES) >= SHAPE_CACHE_MAX:
+            _SHAPES.clear()
+        blob = _SHAPES[key] = cls(rows, cols, synthetic=True, quantize_flag=quantized)
+        blob._nbytes = blob.nbytes()
+        return blob
 
     def array(self) -> np.ndarray:
         """Decode to a float32 [rows, cols] matrix."""
@@ -112,6 +128,8 @@ class HiddenBlob:
         return self.data
 
     def nbytes(self) -> int:
+        if self._nbytes is not None:
+            return self._nbytes
         n = self.rows * self.cols
         if self.quant is not None or (self.synthetic and self.quantize_flag):
             block = self.quant.block_size if self.quant is not None else BLOCK_SIZE
@@ -148,6 +166,9 @@ class HiddenBlob:
             codes = np.frombuffer(buf, "i1", count=n, offset=offset).copy()
             return cls(rows, cols, quant=QuantizedHidden((rows, cols), block, scales, codes)), offset + n
         raise ProtocolError(f"unknown blob encoding {enc}")
+
+
+_SHAPES: dict[tuple[int, int, bool], HiddenBlob] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +247,15 @@ class Pong:
 @dataclass
 class Announce:
     record: dict
+    _nbytes = None    # not a field: the frame size of a ``fixed`` announce
+
+    @classmethod
+    def fixed(cls, record: dict) -> "Announce":
+        """An announce sized once, for a sender that resends it unchanged:
+        neither it nor ``record`` changes afterwards."""
+        a = cls(record)
+        a._nbytes = FRAME_OVERHEAD + len(_canon_json(record))
+        return a
 
 
 @dataclass
@@ -245,12 +275,12 @@ Payload = (OpenSession | Step | StepResult | Restore | Reorder | Forward
 
 class _Codec(NamedTuple):
     """One payload type on the wire: its kind byte, its encoding, the
-    payload an encoding decodes to, and the encoding's length."""
+    payload an encoding decodes to, and the length of a frame carrying it."""
 
     kind: Kind
     encode: Callable[[Payload], bytes]
     decode: Callable[[bytes], Payload]
-    nbytes: Callable[[Payload], int]
+    framed_nbytes: Callable[[Payload], int]
 
 
 def _fields(kind: Kind, fmt: str, values: Callable, build: Callable,
@@ -260,12 +290,13 @@ def _fields(kind: Kind, fmt: str, values: Callable, build: Callable,
     the payload from them, with the blob as its last argument."""
     fixed = struct.Struct(fmt)
     n = fixed.size
+    framed = FRAME_OVERHEAD + n
     if not blob:
         return _Codec(kind, lambda p: fixed.pack(*values(p)),
-                      lambda buf: build(*fixed.unpack_from(buf)), lambda p: n)
+                      lambda buf: build(*fixed.unpack_from(buf)), lambda p: framed)
     return _Codec(kind, lambda p: fixed.pack(*values(p)) + p.blob.encode(),
                   lambda buf: build(*fixed.unpack_from(buf), HiddenBlob.decode(buf, n)[0]),
-                  lambda p: n + p.blob.nbytes())
+                  lambda p: framed + p.blob.nbytes())
 
 
 def _canon_json(obj) -> bytes:
@@ -280,8 +311,12 @@ def _json(kind: Kind, obj: Callable, build: Callable) -> _Codec:
         if not isinstance(o, dict):
             raise ProtocolError("JSON payload is not an object")
         return build(o)
-    return _Codec(kind, lambda p: _canon_json(obj(p)), decode,
-                  lambda p: len(_canon_json(obj(p))))
+
+    def framed_nbytes(p: Payload) -> int:
+        # an ``Announce.fixed`` carries the size worked out when it was made
+        return (getattr(p, "_nbytes", None)
+                or FRAME_OVERHEAD + len(_canon_json(obj(p))))
+    return _Codec(kind, lambda p: _canon_json(obj(p)), decode, framed_nbytes)
 
 
 def _decode_reorder(buf: bytes) -> Reorder:
@@ -310,7 +345,7 @@ _CODECS: dict[type, _Codec] = {
     Reorder: _Codec(
         Kind.REORDER,
         lambda p: struct.pack(f"<H{len(p.indices)}H", len(p.indices), *p.indices),
-        _decode_reorder, lambda p: 2 + 2 * len(p.indices)),
+        _decode_reorder, lambda p: FRAME_OVERHEAD + 2 + 2 * len(p.indices)),
     Forward: _fields(
         Kind.FORWARD, "<QBIIII",
         lambda p: (p.req_id, bool(p.record) | bool(p.quantize_reply) << 1,
@@ -332,14 +367,11 @@ _CODECS: dict[type, _Codec] = {
 }
 _BY_KIND = {c.kind: c for c in _CODECS.values()}
 # the simulator sizes every leg: one flat lookup, no codec object per call
-_NBYTES = {t: c.nbytes for t, c in _CODECS.items()}
+_FRAMED_NBYTES = {t: c.framed_nbytes for t, c in _CODECS.items()}
 
 
 def payload_nbytes(payload: Payload) -> int:
-    size = _NBYTES.get(type(payload))
-    if size is None:
-        raise ProtocolError(f"unknown payload {type(payload)}")
-    return size(payload)
+    return framed_nbytes(WireMessage(payload)) - FRAME_OVERHEAD
 
 
 def encode_payload(payload: Payload) -> bytes:
@@ -364,7 +396,12 @@ class WireMessage:
 
 
 def framed_nbytes(msg: WireMessage) -> int:
-    return HEADER_LEN + payload_nbytes(msg.payload) + TRAILER_LEN
+    p = msg.payload
+    try:
+        size = _FRAMED_NBYTES[type(p)]
+    except KeyError:
+        raise ProtocolError(f"unknown payload {type(p)}") from None
+    return size(p)
 
 
 def frame_len(head: bytes) -> int:
@@ -410,7 +447,8 @@ def decode_frame(buf: bytes) -> tuple[WireMessage, int]:
         # unknown kind, short fixed fields, a blob past the payload's end,
         # bad UTF-8 or JSON
         raise ProtocolError(f"malformed {kind:#x} frame: {e}") from e
-    nbytes = payload_nbytes(payload)
+    msg = WireMessage(payload, int.from_bytes(session_id, "little"))
+    nbytes = framed_nbytes(msg) - FRAME_OVERHEAD
     if nbytes != plen:
         raise ProtocolError(f"{plen}-byte payload for a {nbytes}-byte {type(payload).__name__}")
-    return WireMessage(payload, int.from_bytes(session_id, "little")), end + TRAILER_LEN
+    return msg, end + TRAILER_LEN

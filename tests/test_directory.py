@@ -41,6 +41,7 @@ class TestServerInfo:
         assert d == asdict(info) and list(d) == list(asdict(info))
         msg = WireMessage(Announce(d))
         assert framed_nbytes(msg) == len(encode_frame(msg)) == 149
+        assert framed_nbytes(WireMessage(Announce.fixed(d))) == 149
         assert ServerInfo.from_dict(d) == info
 
 

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmpipe import server, wire
+from swarmpipe.client import Strategy
 from swarmpipe.errors import ProtocolError
+from swarmpipe.model import ModelConfig
+from swarmpipe.netsim import NetProfile
 from swarmpipe.quantize import dequantize_hidden, quantize_hidden
+from swarmpipe.swarm import build_sim_swarm
 from swarmpipe.wire import (MAGIC, NO_REPLY, Announce, Backward, Close, Error, Forward,
                             HiddenBlob, Kind, OpenSession, Ping, Pong, Reorder, Restore,
                             Step, StepResult, WireMessage, decode_frame, encode_frame,
@@ -235,6 +239,28 @@ class TestFraming:
                 == HiddenBlob.from_array(h, quantized=True).nbytes())
         with pytest.raises(ProtocolError):
             HiddenBlob.shape_only(4, 4).encode()
+
+    def test_shape_only_blobs_are_shared_and_never_change(self):
+        """One blob per shape, handed to every message of that shape: running
+        shape-only cells must leave each one with its shape and size, and
+        leave the cache within its bound."""
+        assert HiddenBlob.shape_only(3, 64, True) is HiddenBlob.shape_only(3, 64, True)
+        held = [HiddenBlob.shape_only(r, 64, q) for r in (1, 9) for q in (False, True)]
+
+        def unchanged(blob, rows, cols, quantized):
+            fresh = HiddenBlob(rows, cols, synthetic=True, quantize_flag=quantized)
+            return ((blob.rows, blob.cols, blob.quantize_flag, blob.synthetic,
+                     blob.data, blob.quant, blob.nbytes())
+                    == (rows, cols, quantized, True, None, None, fresh.nbytes()))
+
+        for strategy in (Strategy.DUAL_CACHE, Strategy.CACHELESS):
+            sw = build_sim_swarm(ModelConfig(seed=0, max_seq_len=2052), seed=1,
+                                 engine="timed", profile=NetProfile(1e9, 2.0, 1e-2))
+            sw.client().generate([1, 2, 3, 4], 2048, strategy=strategy)
+            assert 0 < len(wire._SHAPES) <= wire.SHAPE_CACHE_MAX
+            assert all(unchanged(b, *key) for key, b in wire._SHAPES.items())
+            assert all(unchanged(b, b.rows, 64, q)
+                       for b, q in zip(held, (False, True) * 2))
 
 
 def _frame(kind: int, body: bytes, session_id: int = 0) -> bytes:

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import pytest
 
 from swarmpipe.balancer import swarm_throughput
-from swarmpipe.directory import TTL_S
+from swarmpipe.directory import ANNOUNCE_PERIOD_S, TTL_S
 from swarmpipe.model import ModelConfig, reference_generate
 from swarmpipe.netsim import ChurnSchedule, NetProfile
 from swarmpipe.swarm import build_sim_swarm, build_swarm_from_config
@@ -49,6 +49,36 @@ def test_announce_refresh_keeps_records_alive(cfg):
     swarm = build_sim_swarm(cfg, seed=0, engine="timed")
     swarm.net.clock.advance(10 * TTL_S)
     assert len(swarm.board.snapshot()) == 8
+
+
+def test_first_announce_after_a_move_carries_the_new_interval(cfg, monkeypatch):
+    """A server resends one ANNOUNCE while it stays put, and builds a new
+    one for the interval a rebalance moves it to."""
+    swarm = build_sim_swarm(cfg, n_stages=2, replicas=2, seed=0, engine="timed")
+    srv = swarm.servers["s1a"]
+    sent = []
+    post = swarm.net.post
+
+    def spy(src, dst, msg):
+        if src == srv.server_id:
+            sent.append(msg)
+        return post(src, dst, msg)
+    monkeypatch.setattr(swarm.net, "post", spy)
+    old = (srv.start, srv.end)
+    swarm.net.clock.advance(2 * ANNOUNCE_PERIOD_S)
+    assert len(sent) == 2 and sent[0] is sent[1]
+    for sid in ("s0a", "s0b"):
+        swarm.net.set_crashed(sid)
+    swarm.net.clock.advance(TTL_S)
+    n_before = len(sent)
+    assert srv.balance_once()
+    assert (srv.start, srv.end) != old
+    first = sent[n_before].payload.record
+    assert (first["start"], first["end"]) == (srv.start, srv.end)
+    swarm.net.clock.advance(ANNOUNCE_PERIOD_S)
+    assert sent[-1] is sent[n_before]
+    rec = swarm.board.get(srv.server_id)
+    assert (rec.start, rec.end) == (srv.start, srv.end)
 
 
 def test_moving_server_drops_sessions(cfg):

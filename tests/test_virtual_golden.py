@@ -1,13 +1,18 @@
 """Golden virtual outputs: three short shape-only cells must keep their
-virtual time to the last bit, their bytes and their failure counts.
+virtual time to the last bit, their bytes and their failure counts, in total
+and on every (src, dst) link.
 
 A change to the simulated message path may make it cheaper to run, never
 move what it simulates: the pinned values were recorded before that path was
 optimised and move only with a change that says why. Virtual time is
 compared as ``float.hex``, so a regrouped float sum (``now + one_way +
 transfer`` for ``now + (one_way + transfer)``) fails here although every
-byte is equal.
+byte is equal. The per-link pins catch what the totals cannot: a leg booked
+on the wrong direction's stats (a reply counted on its request's link) keeps
+every total.
 """
+
+from functools import cache
 
 import pytest
 
@@ -26,13 +31,71 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("strategy, seed", list(GOLDEN), ids=lambda v: getattr(v, "value", v))
-def test_cell_virtual_outputs_unchanged(strategy, seed):
+@cache
+def _run_cell(strategy, seed):
     swarm = build_sim_swarm(ModelConfig(seed=0), seed=seed, engine="timed",
                             profile=NetProfile(failure_prob=1e-2))
     started = swarm.net.clock.now
     res = swarm.client().generate([1, 2, 3, 4], 64, strategy=strategy)
-    got = ((swarm.net.clock.now - started).hex(), swarm.net.total_bytes(),
+    return swarm, res, swarm.net.clock.now - started
+
+
+@pytest.mark.parametrize("strategy, seed", list(GOLDEN), ids=lambda v: getattr(v, "value", v))
+def test_cell_virtual_outputs_unchanged(strategy, seed):
+    swarm, res, elapsed = _run_cell(strategy, seed)
+    got = (elapsed.hex(), swarm.net.total_bytes(),
            sum(s.drops for s in swarm.net.links.values()),
            res.counters.recoveries, res.counters.restarts)
     assert got == GOLDEN[(strategy, seed)]
+
+
+# strategy, swarm seed -> sorted (src, dst, messages, bytes, drops) of every
+# link a message crossed or was lost on
+LINKS = {
+    (Strategy.RESTART, 4): [
+        ("client1", "s0a", 621, 204409, 9), ("client1", "s0b", 275, 92836, 3),
+        ("client1", "s1a", 660, 218878, 3), ("client1", "s1b", 222, 74408, 2),
+        ("client1", "s2a", 591, 194536, 10), ("client1", "s2b", 267, 90402, 5),
+        ("client1", "s3a", 569, 189224, 11), ("client1", "s3b", 271, 89990, 3),
+        ("s0a", "client1", 577, 200175, 7), ("s0a", "directory", 38, 5510, 0),
+        ("s0b", "client1", 244, 90460, 3), ("s0b", "directory", 38, 5510, 0),
+        ("s1a", "client1", 608, 214210, 6), ("s1a", "directory", 37, 5365, 1),
+        ("s1b", "client1", 200, 72572, 2), ("s1b", "directory", 38, 5510, 0),
+        ("s2a", "client1", 548, 191159, 3), ("s2a", "directory", 38, 5510, 0),
+        ("s2b", "client1", 241, 88326, 2), ("s2b", "directory", 36, 5220, 2),
+        ("s3a", "client1", 521, 184521, 4), ("s3a", "directory", 38, 5510, 0),
+        ("s3b", "client1", 250, 88472, 1), ("s3b", "directory", 38, 5510, 0),
+    ],
+    (Strategy.CACHELESS, 3): [
+        ("client1", "s0a", 65, 601607, 0), ("client1", "s1a", 65, 596999, 0),
+        ("client1", "s2a", 65, 592135, 1), ("client1", "s3a", 66, 609870, 0),
+        ("s0a", "client1", 64, 585600, 1), ("s0a", "directory", 2, 290, 0),
+        ("s0b", "directory", 2, 290, 0), ("s1a", "client1", 64, 585600, 1),
+        ("s1a", "directory", 2, 290, 0), ("s1b", "directory", 2, 290, 0),
+        ("s2a", "client1", 64, 585600, 1), ("s2a", "directory", 2, 290, 0),
+        ("s2b", "directory", 2, 290, 0), ("s3a", "client1", 64, 585600, 2),
+        ("s3a", "directory", 2, 290, 0), ("s3b", "directory", 2, 290, 0),
+    ],
+    (Strategy.DUAL_CACHE, 3): [
+        ("client1", "s0a", 35, 24916, 0), ("client1", "s0b", 37, 16619, 0),
+        ("client1", "s1a", 61, 19908, 0), ("client1", "s1b", 8, 17612, 0),
+        ("client1", "s2a", 1, 60, 1), ("client1", "s2b", 67, 21270, 0),
+        ("client1", "s3a", 53, 26288, 0), ("client1", "s3b", 19, 11151, 0),
+        ("s0a", "client1", 33, 10444, 1), ("s0a", "directory", 3, 435, 0),
+        ("s0b", "client1", 36, 10911, 1), ("s0b", "directory", 3, 435, 0),
+        ("s1a", "client1", 60, 19567, 1), ("s1a", "directory", 3, 435, 0),
+        ("s1b", "client1", 7, 1689, 0), ("s1b", "directory", 3, 435, 0),
+        ("s2a", "client1", 1, 37, 0), ("s2a", "directory", 3, 435, 0),
+        ("s2b", "client1", 66, 21219, 0), ("s2b", "directory", 3, 435, 0),
+        ("s3a", "client1", 51, 16168, 1), ("s3a", "directory", 3, 435, 0),
+        ("s3b", "client1", 18, 5187, 1), ("s3b", "directory", 3, 435, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("strategy, seed", list(LINKS), ids=lambda v: getattr(v, "value", v))
+def test_cell_links_unchanged(strategy, seed):
+    swarm, _, _ = _run_cell(strategy, seed)
+    got = sorted((src, dst, s.messages, s.bytes, s.drops)
+                 for (src, dst), s in swarm.net.links.items())
+    assert got == LINKS[(strategy, seed)]
