@@ -16,6 +16,10 @@ All strategies produce the same tokens as the single-process oracle; the
 differences are cost and failure behavior, which the counters expose.
 Dual-cache, restart and beam search run one decode loop (``_decode``); every
 step and beam reorder walks the stages through one recovery path (``_walk``).
+Every stage RPC but the decode loop's ``Step`` is one ``_call_stage``, and
+whether a failure bans its server is decided in ``_ban_if``. A ``_Stage`` is
+an open session with its history. Opening a chain, replacing a stage and
+repeating a cache-less step each give up after ``MAX_REROUTES`` failures.
 """
 
 from __future__ import annotations
@@ -159,10 +163,6 @@ class _Stage:
     history: list[_HistoryItem] = field(default_factory=list)
     rows_sent: int = 0             # positions processed at this stage
 
-    @property
-    def server_id(self) -> str:
-        return self.hop.server_id
-
     def record(self, rows: np.ndarray | None, width: int, n_new: int) -> None:
         """Keep the rows sent; the timed engine sends none and keeps nothing."""
         if rows is not None:
@@ -230,16 +230,22 @@ class SwarmClient:
                                       rec.throughput, rtt))
         self.graph.sync(routes)
 
-    def _call_stage(self, stage: _Stage, payload):
-        """One stage RPC with failures mapped to _StageFailure."""
-        server_id = stage.hop.server_id
+    def _call_stage(self, server_id: str, session_id: int, payload):
+        """One stage RPC with failures mapped to ``_StageFailure``. The decode
+        loop's ``Step``, one per stage per token, is sent inline by
+        ``_step_stage`` instead, to keep that hot path in one frame."""
         try:
-            reply = self.net.rpc(self.name, server_id, WireMessage(payload, stage.session_id))
+            reply = self.net.rpc(self.name, server_id, WireMessage(payload, session_id))
         except (MessageDropped, ConnectionFailed) as e:
             raise _StageFailure.lost(server_id, e)
         if isinstance(reply.payload, Error):
             raise _refused(server_id, reply.payload)
         return reply.payload
+
+    def _ban_if(self, f: _StageFailure) -> None:
+        """Ban the failed server unless it is alive and only lost state."""
+        if f.ban:
+            self.bans.ban(f.server_id)
 
     def _blob_from_rows(self, rows: np.ndarray | None, width: int, n_new: int,
                         quantized: bool) -> HiddenBlob:
@@ -276,22 +282,25 @@ class SwarmClient:
 
     def _open_session(self, stage: _Stage, width: int, quantized: bool) -> _Stage:
         """Open a fresh session for ``stage``."""
+        hop = stage.hop
         stage.session_id = self._new_sid()
-        self._call_stage(stage, OpenSession(
-            stage.hop.start, stage.hop.end, width, self._reply_quantized(stage.hop, quantized)))
+        self._call_stage(hop.server_id, stage.session_id, OpenSession(
+            hop.start, hop.end, width, self._reply_quantized(hop, quantized)))
         return stage
 
-    def _rebuild(self, stage: _Stage, width: int, quantized: bool, counters: RunCounters,
-                 want_outputs: bool = False):
-        """Open a fresh session for ``stage`` and replay its history there in
-        one batched restore; returns the restore's outputs if asked for."""
-        hist = stage.lineage_matrix(self.config.hidden_dim, width)
+    def _rebuild(self, stage: _Stage, hist: np.ndarray | None, width: int, quantized: bool,
+                 counters: RunCounters, want_outputs: bool = False):
+        """Open a fresh session for ``stage`` and replay ``hist``, the
+        ``[width, rows_sent, d]`` lineage matrix of its history (None on the
+        timed engine), there in one batched restore; returns the restore's
+        outputs if asked for."""
         t = stage.rows_sent
         self._open_session(stage, width, quantized)
         wire_q = self._request_quantized(stage.hop, quantized)
         blob = (self._blob_from_rows(hist, width, t, wire_q) if t > 0
                 else HiddenBlob.shape_only(0, self.config.hidden_dim))
-        res = self._call_stage(stage, Restore(t, blob, width, want_outputs))
+        res = self._call_stage(stage.hop.server_id, stage.session_id,
+                               Restore(t, blob, width, want_outputs))
         counters.messages += 1
         counters.restore_events.append(
             (stage.hop.start, stage.hop.end, t, width * t * self.config.hidden_dim * 4))
@@ -302,8 +311,8 @@ class SwarmClient:
     def _open_chain(self, quantized: bool, deadline: float | None) -> list[_Stage]:
         """Route a full chain and open width-1 sessions along it; an open
         failure closes the hops already open and costs a ban and a fresh
-        route."""
-        while True:
+        route, at most ``MAX_REROUTES`` times."""
+        for _ in range(MAX_REROUTES):
             chain = self._route_chain(0, self.config.n_blocks, deadline)
             stages: list[_Stage] = []
             try:
@@ -312,8 +321,8 @@ class SwarmClient:
                 return stages
             except _StageFailure as f:
                 self._close_stages(stages)
-                if f.ban:
-                    self.bans.ban(f.server_id)
+                self._ban_if(f)
+        raise SwarmUnavailableError(f"opening a chain failed {MAX_REROUTES} times")
 
     def _start_run(self, prefix: list[int], n_new: int, deadline_s: float | None):
         """Argument check shared by every generation entry point."""
@@ -328,7 +337,7 @@ class SwarmClient:
     def _close_stages(self, stages: list[_Stage]) -> None:
         for s in stages:
             try:
-                self.net.post(self.name, s.server_id, WireMessage(Close(), s.session_id))
+                self.net.post(self.name, s.hop.server_id, WireMessage(Close(), s.session_id))
             except Exception:
                 pass
 
@@ -368,7 +377,8 @@ class SwarmClient:
         return res.blob.array().reshape(width, n_new, d)
 
     def _reorder_stage(self, stage: _Stage, parents0: list[int], counters: RunCounters):
-        self._call_stage(stage, Reorder([p + 1 for p in parents0]))
+        self._call_stage(stage.hop.server_id, stage.session_id,
+                         Reorder([p + 1 for p in parents0]))
         counters.messages += 1
         stage.history.append(_HistoryItem(parents0=list(parents0)))
         return parents0
@@ -378,7 +388,7 @@ class SwarmClient:
         """Ban the failed server, route replacements for its blocks, and
         rebuild their state from the client-side cache. As in ``_open_chain``,
         a replacement that fails closes the ones already rebuilt."""
-        self.bans.ban(failed.server_id)
+        self.bans.ban(failed.hop.server_id)
         counters.recoveries += 1
         hist = failed.lineage_matrix(self.config.hidden_dim, width)
         t = failed.rows_sent
@@ -394,14 +404,13 @@ class SwarmClient:
                     stage = _Stage(hop, 0, rows_sent=t)
                     if t > 0:
                         stage.record(inputs, width, t)
-                    inputs = self._rebuild(stage, width, quantized, counters,
+                    inputs = self._rebuild(stage, inputs, width, quantized, counters,
                                            want_outputs=n < len(seg.hops) - 1 and t > 0)
                     new_stages.append(stage)
                 return new_stages
             except _StageFailure as f2:
                 self._close_stages(new_stages)
-                if f2.ban:
-                    self.bans.ban(f2.server_id)
+                self._ban_if(f2)
         raise SwarmUnavailableError("replacements kept failing")
 
     def _walk(self, stages: list[_Stage], op, x, width: int, quantized: bool,
@@ -424,8 +433,9 @@ class SwarmClient:
                     raise
                 if not f.ban:       # expired/desync: rebuild on the live server
                     counters.recoveries += 1
+                    hist = stage.lineage_matrix(self.config.hidden_dim, width)
                     try:
-                        self._rebuild(stage, width, quantized, counters)
+                        self._rebuild(stage, hist, width, quantized, counters)
                         continue
                     except _StageFailure:
                         pass
@@ -531,8 +541,7 @@ class SwarmClient:
             except _StageFailure as f:
                 attempts += 1
                 counters.restarts = attempts
-                if f.ban:
-                    self.bans.ban(f.server_id)
+                self._ban_if(f)
                 if progress_probe is not None:
                     elapsed = self.clock.now - started
                     remaining = None if deadline is None else deadline - self.clock.now
@@ -542,6 +551,8 @@ class SwarmClient:
                             f"restart probe gave up after {attempts} attempts")
 
     def _generate_cacheless(self, chooser, n_new, quantized, counters, deadline) -> list[int]:
+        """A lost ``Forward`` is resent to the same server; any other failure
+        repeats the step on a new chain, at most ``MAX_REROUTES`` times."""
         chain = self._route_chain(0, self.config.n_blocks, deadline)
         tokens, choose = chooser()
         run_sid = self._new_sid()
@@ -549,7 +560,7 @@ class SwarmClient:
             emb = self.engine.embed_array(tokens)
             rows = emb.reshape(len(tokens), -1) if emb is not None else None
             t = len(tokens)
-            while True:   # whole step retries on reroute
+            for _ in range(MAX_REROUTES):   # the whole step repeats on a new chain
                 self._check_deadline(deadline)
                 try:
                     current = rows
@@ -564,7 +575,7 @@ class SwarmClient:
                         while True:
                             self._check_deadline(deadline)
                             try:
-                                res = self._call_stage(_Stage(hop, run_sid), fwd)
+                                res = self._call_stage(hop.server_id, run_sid, fwd)
                                 break
                             except _StageFailure as f:
                                 if not f.dropped:
@@ -575,10 +586,11 @@ class SwarmClient:
                         current = (res.blob.array() if not res.blob.synthetic else None)
                     break
                 except _StageFailure as f:
-                    if f.ban:
-                        self.bans.ban(f.server_id)
+                    self._ban_if(f)
                     counters.recoveries += 1
                     chain = self._route_chain(0, self.config.n_blocks, deadline)
+            else:
+                raise SwarmUnavailableError(f"step {step} failed on {MAX_REROUTES} chains")
             counters.per_step_bytes.append(t * self.config.hidden_dim * 4
                                            * len(chain.hops))
             choose(current[None] if current is not None else None)
@@ -671,8 +683,7 @@ class FinetuneSession:
                 return loss
             except _StageFailure as f:
                 self.counters.repeats += 1
-                if f.ban:
-                    self.client.bans.ban(f.server_id)
+                self.client._ban_if(f)
         raise SwarmUnavailableError("fine-tune pass kept failing")
 
     def _one_pass(self, batch_tokens: np.ndarray, labels: np.ndarray, req_id: int):
@@ -720,6 +731,6 @@ class FinetuneSession:
         return loss, g_prompt, g_head.astype(np.float32)
 
     def _training_rpc(self, hop: Hop, payload):
-        reply = self.client._call_stage(_Stage(hop, self._sid), payload)
+        reply = self.client._call_stage(hop.server_id, self._sid, payload)
         self.counters.messages += 1
         return reply

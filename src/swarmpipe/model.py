@@ -144,10 +144,6 @@ class HiddenStates:
     data: np.ndarray
     position_offset: int = 0
 
-    @property
-    def n_tokens(self) -> int:
-        return self.data.shape[0]
-
 
 @dataclass
 class KVCache:
@@ -451,14 +447,12 @@ class _LocalRunner:
         self.config = config
         self.blocks = blocks
         self.caches = [KVCache.empty(config, width) for _ in blocks]
-        self.positions = 0
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """x: [width, n, d] new rows; returns final-block outputs."""
         for p, c in zip(self.blocks, self.caches):
             x, k_new, v_new = block_forward_batched(p, x, c.keys, c.values)
             c.append(k_new, v_new)
-        self.positions += x.shape[1]
         return x
 
     def reorder(self, parents_zero_based: list[int]) -> None:

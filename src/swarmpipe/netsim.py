@@ -149,10 +149,8 @@ class HandlerContext:
     On the simulator it also holds the sender's link stats: ``up`` for
     src -> dst, ``down`` for dst -> src (None until a reply leg needs it)."""
 
-    def __init__(self, net, src: str, dst: str):
+    def __init__(self, net):
         self.net = net
-        self.src = src
-        self.dst = dst
         self.up: LinkStats | None = None
         self.down: LinkStats | None = None
 
@@ -237,7 +235,7 @@ class SimNetwork:
     def _new_context(self, ep: _Endpoint, src: str, dst: str) -> HandlerContext:
         """The context of the first message from ``src`` to ``ep``, holding
         the src -> dst link stats its leg is booked on."""
-        ctx = ep.contexts[src] = HandlerContext(self, src, dst)
+        ctx = ep.contexts[src] = HandlerContext(self)
         ctx.up = self._link(src, dst)
         return ctx
 

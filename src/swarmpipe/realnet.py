@@ -216,7 +216,7 @@ class _Listener:
         self.net = net
         self.name = name
         self.handler = handler
-        self._ctx = HandlerContext(net, "peer", name)
+        self._ctx = HandlerContext(net)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))

@@ -43,9 +43,6 @@ class Chain:
     hops: list[Hop]
     cost_ms: float
 
-    def intervals(self) -> list[tuple[str, int, int]]:
-        return [(h.server_id, h.start, h.end) for h in self.hops]
-
     def server_ids(self) -> list[str]:
         return [h.server_id for h in self.hops]
 

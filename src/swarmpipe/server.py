@@ -254,9 +254,10 @@ class BlockServer:
             return
         self._timers_started = True
         self.announce()
-        self._schedule_announce()
+        self._every(ANNOUNCE_PERIOD_S, ANNOUNCE_PERIOD_S, "announce")
         if balancer:
-            self._schedule_balance()
+            self._every(REBALANCE_PERIOD_S * (1.0 + self._phase()), REBALANCE_PERIOD_S,
+                        "balance_once")
 
     def _phase(self) -> float:
         # servers do not share a clock: spread periodic work deterministically
@@ -264,23 +265,15 @@ class BlockServer:
         h = M._splitmix64(sum(self.server_id.encode()), 1)[0]
         return float(h % 10_000) / 10_000.0
 
-    def _schedule_announce(self) -> None:
+    def _every(self, first_s: float, period_s: float, method: str) -> None:
+        """Call ``method`` ``first_s`` from now and every ``period_s`` after,
+        skipping ticks while this server is offline. The method is looked up
+        at each tick, so a patched one is the one called."""
         def tick() -> None:
             if self.net.online(self.server_id):
-                self.announce()
-            self._schedule_announce()
-        self.net.clock.schedule(self.net.clock.now + ANNOUNCE_PERIOD_S, tick)
-
-    def _schedule_balance(self) -> None:
-        first = not hasattr(self, "_balance_started")
-        self._balance_started = True
-        delay = REBALANCE_PERIOD_S * (1.0 + self._phase()) if first else REBALANCE_PERIOD_S
-
-        def tick() -> None:
-            if self.net.online(self.server_id):
-                self.balance_once()
-            self._schedule_balance()
-        self.net.clock.schedule(self.net.clock.now + delay, tick)
+                getattr(self, method)()
+            self.net.clock.schedule(self.net.clock.now + period_s, tick)
+        self.net.clock.schedule(self.net.clock.now + first_s, tick)
 
     def balance_once(self) -> bool:
         """One rebalance check; commits and loads blocks when worthwhile

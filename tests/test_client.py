@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from swarmpipe import model as M
-from swarmpipe.client import Strategy
+from swarmpipe.client import MAX_REROUTES, Strategy
 from swarmpipe.errors import SwarmUnavailableError
 from swarmpipe.model import ModelConfig, init_model, reference_generate
 from swarmpipe.netsim import ChurnSchedule, NetProfile
 from swarmpipe.swarm import build_sim_swarm, build_swarm_from_config
-from swarmpipe.wire import Error, OpenSession, WireMessage
+from swarmpipe.wire import Error, Forward, OpenSession, WireMessage
 
 
 @pytest.fixture(scope="module")
@@ -22,18 +22,21 @@ def oracle64(cfg):
     return reference_generate(cfg, [5, 6, 7], 64)
 
 
-def _refuse_opens(srv) -> list[int]:
-    """Make ``srv`` answer every OPEN_SESSION with ``not_serving``; returns
-    the list of refused session ids."""
+def _refuse(srv, kind=OpenSession) -> list[int]:
+    """Make ``srv`` answer every ``kind`` request with ``not_serving``;
+    returns the list of refused session ids. The 51st refusal raises
+    instead, so a client that never gives up fails the test, not hangs it."""
     handle, refused = srv.handle, []
 
-    def refuse_open(msg, ctx):
-        if isinstance(msg.payload, OpenSession):
+    def refuse(msg, ctx):
+        if isinstance(msg.payload, kind):
+            if len(refused) == 50:
+                raise AssertionError(f"{srv.server_id} refused 50 times")
             refused.append(msg.session_id)
             return WireMessage(Error("not_serving", "refusing for the test"))
         return handle(msg, ctx)
 
-    srv.handle = refuse_open
+    srv.handle = refuse
     return refused
 
 
@@ -157,11 +160,25 @@ class TestRecovery:
         """The third hop refuses OPEN_SESSION; the two hops opened before it
         are closed before the client routes around the refusal."""
         swarm = build_sim_swarm(cfg, seed=0)
-        refused = _refuse_opens(swarm.servers["s2a"])
+        refused = _refuse(swarm.servers["s2a"])
         res = swarm.client().generate([5, 6, 7], 8)
         swarm.net.clock.advance(1.0)   # let the CLOSE posts land
         assert refused and res.tokens == oracle64[:11]
         assert {k: len(s.sessions) for k, s in swarm.servers.items() if s.sessions} == {}
+
+    @pytest.mark.parametrize("strategy, kind", [
+        (Strategy.DUAL_CACHE, OpenSession), (Strategy.RESTART, OpenSession),
+        (Strategy.CACHELESS, Forward)], ids=["dual-cache", "restart", "cacheless"])
+    def test_refusing_only_replica_ends_unavailable(self, strategy, kind):
+        """The only server of [4, 6) refuses every open (or every cache-less
+        Forward). Each refusal costs a ban and a new chain through the same
+        server once the ban ends; after ``MAX_REROUTES`` of them the client
+        gives up instead of cycling until the deadline it does not have."""
+        swarm = build_sim_swarm(ModelConfig(seed=0), replicas=1, seed=0, engine="timed")
+        refused = _refuse(swarm.servers["s2a"], kind)
+        with pytest.raises(SwarmUnavailableError):
+            swarm.client().generate([1, 2, 3], 4, strategy=strategy)
+        assert len(refused) == MAX_REROUTES
 
     def test_refused_replacement_closes_the_hops_already_rebuilt(self, cfg):
         """s1a crashes and [2, 4) is replaced by h2 + h3; h3 refuses, so the
@@ -176,7 +193,7 @@ class TestRecovery:
             srv.start_timers()
             swarm.servers[sid] = srv
         swarm.net.clock.advance(0.1)
-        refused = _refuse_opens(swarm.servers["h3"])
+        refused = _refuse(swarm.servers["h3"])
         res = swarm.client().generate([5, 6, 7], 32)
         swarm.net.clock.advance(1.0)   # let the CLOSE posts land
         assert refused and res.tokens == reference_generate(cfg, [5, 6, 7], 32)

@@ -1,6 +1,7 @@
 """Golden virtual outputs: three short shape-only cells must keep their
 virtual time to the last bit, their bytes and their failure counts, in total
-and on every (src, dst) link.
+and on every (src, dst) link; so must a cache-less cell that reroutes and a
+fine-tune step that repeats its pass.
 
 A change to the simulated message path may make it cheaper to run, never
 move what it simulates: the pinned values were recorded before that path was
@@ -14,9 +15,10 @@ every total.
 
 from functools import cache
 
+import numpy as np
 import pytest
 
-from swarmpipe.client import Strategy
+from swarmpipe.client import FinetuneSession, Strategy
 from swarmpipe.model import ModelConfig
 from swarmpipe.netsim import NetProfile
 from swarmpipe.swarm import build_sim_swarm
@@ -99,3 +101,44 @@ def test_cell_links_unchanged(strategy, seed):
     got = sorted((src, dst, s.messages, s.bytes, s.drops)
                  for (src, dst), s in swarm.net.links.items())
     assert got == LINKS[(strategy, seed)]
+
+
+def test_cacheless_reroute_unchanged():
+    """A cache-less cell in which s1a crashes mid-run: dropped Forwards are
+    resent to the same server and the crash costs a ban and a new chain."""
+    swarm = build_sim_swarm(ModelConfig(seed=0), seed=3, engine="timed",
+                            profile=NetProfile(failure_prob=1e-2),
+                            server_overrides={"s1a": {"crash_after_messages": 40}})
+    started = swarm.net.clock.now
+    res = swarm.client().generate([1, 2, 3, 4], 64, strategy=Strategy.CACHELESS)
+    got = ((swarm.net.clock.now - started).hex(), swarm.net.total_bytes(),
+           sum(s.drops for s in swarm.net.links.values()),
+           res.counters.recoveries, res.counters.retries)
+    assert got == ("0x1.f5fce15aabfbep+3", 4778158, 6, 1, 6)
+
+
+def test_finetune_step_under_drops_unchanged():
+    """One fine-tune step whose first pass loses a Forward to s2a: the pass
+    repeats from scratch on a chain through s2b."""
+    swarm = build_sim_swarm(ModelConfig(seed=0), seed=0,
+                            profile=NetProfile(failure_prob=5e-2))
+    ft = FinetuneSession(swarm.client(), n_labels=4, prompt_len=2, init_seed=0)
+    batch = np.random.default_rng(0).integers(0, 256, (4, 6))
+    started = swarm.net.clock.now
+    ft.step(batch, (batch[:, -1] % 4).astype(np.intp))
+    assert (swarm.net.clock.now - started).hex() == "0x1.59951f94f9548p+3"
+    assert ft.counters.repeats == 1
+    got = sorted((src, dst, s.messages, s.bytes, s.drops)
+                 for (src, dst), s in swarm.net.links.items())
+    assert got == [
+        ("client1", "s0a", 3, 24788, 0), ("client1", "s1a", 3, 24788, 0),
+        ("client1", "s2a", 0, 0, 1), ("client1", "s2b", 2, 16525, 0),
+        ("client1", "s3a", 2, 16525, 0),
+        ("s0a", "client1", 3, 24762, 0), ("s0a", "directory", 2, 290, 0),
+        ("s0b", "directory", 2, 290, 0),
+        ("s1a", "client1", 3, 24762, 0), ("s1a", "directory", 1, 145, 1),
+        ("s1b", "directory", 0, 0, 2), ("s2a", "directory", 2, 290, 0),
+        ("s2b", "client1", 2, 16508, 0), ("s2b", "directory", 1, 145, 1),
+        ("s3a", "client1", 2, 16508, 0), ("s3a", "directory", 2, 290, 0),
+        ("s3b", "directory", 2, 290, 0),
+    ]
