@@ -173,7 +173,7 @@ class TestRecovery:
         """The only server of [4, 6) refuses every open (or every cache-less
         Forward). Each refusal costs a ban and a new chain through the same
         server once the ban ends; after ``MAX_REROUTES`` of them the client
-        gives up instead of cycling until the deadline it does not have."""
+        gives up, since without a deadline nothing else would stop it."""
         swarm = build_sim_swarm(ModelConfig(seed=0), replicas=1, seed=0, engine="timed")
         refused = _refuse(swarm.servers["s2a"], kind)
         with pytest.raises(SwarmUnavailableError):
