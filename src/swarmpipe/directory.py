@@ -16,6 +16,7 @@ from .wire import Announce, Error, WireMessage
 
 ANNOUNCE_PERIOD_S = 10.0
 TTL_S = 3 * ANNOUNCE_PERIOD_S
+DIRECTORY_ADDR = "directory"   # the node name the directory is registered under
 
 STATE_JOINING = "joining"
 STATE_ONLINE = "online"
@@ -49,10 +50,9 @@ class ServerInfo:
 class DirectoryBoard:
     """TTL'd upsert board keyed by server id."""
 
-    def __init__(self, n_blocks: int, now: Callable[[], float], ttl_s: float = TTL_S):
+    def __init__(self, n_blocks: int, now: Callable[[], float]):
         self.n_blocks = n_blocks
         self._now = now
-        self.ttl_s = ttl_s
         self._records: dict[str, ServerInfo] = {}
 
     def announce(self, info: ServerInfo) -> None:
@@ -71,7 +71,7 @@ class DirectoryBoard:
         """Live records only: fresh and not offline."""
         now = self._now()
         return [r for r in self._records.values()
-                if r.state != STATE_OFFLINE and now - r.announced_at < self.ttl_s]
+                if r.state != STATE_OFFLINE and now - r.announced_at < TTL_S]
 
     def get(self, server_id: str) -> ServerInfo | None:
         for r in self.snapshot():

@@ -50,6 +50,7 @@ from .errors import ConnectionFailed, MessageDropped, ProtocolError, Unreachable
 from .wire import WireMessage, Error, Ping, Pong, framed_nbytes
 
 DROP_DRAWS = 256    # drop draws fetched at a time; 4,096 added ~0.4 MB to studies' peak RSS
+PING_DEADLINE_S = 5.0   # virtual seconds a ping to an offline node waits
 
 
 @dataclass(frozen=True)
@@ -344,12 +345,12 @@ class SimNetwork:
         clock.advance_to(clock.now + (ep.one_way_s + rep_bytes * 8.0 / bandwidth_bps))
         return reply
 
-    def ping(self, src: str, dst: str, deadline_s: float = 5.0) -> float:
+    def ping(self, src: str, dst: str) -> float:
         """Measured round-trip time in milliseconds. Pings ride a measurement
         channel: exact in simulation and exempt from the drop process."""
         ep = self._endpoints.get(dst)
         if ep is None or not ep.online(self.clock.now):
-            self.clock.advance(deadline_s)
+            self.clock.advance(PING_DEADLINE_S)
             raise Unreachable(f"{dst} did not answer ping")
         for m in (WireMessage(Ping()), WireMessage(Pong())):
             nbytes = framed_nbytes(m)

@@ -28,7 +28,7 @@ import sys
 import threading
 import time
 
-from .directory import DirectoryBoard, DirectoryHandler, ServerInfo
+from .directory import DIRECTORY_ADDR, ServerInfo
 from .errors import ConnectionFailed, MessageDropped, ProtocolError, Unreachable
 from .netsim import HandlerContext, NetProfile
 from .wire import (Announce, HEADER_LEN, Ping, Pong, WireMessage, decode_frame, encode_frame,
@@ -189,7 +189,7 @@ class RealNetwork:
         self._exchange(dst, encode_frame(msg, reply=False), reply=False)
         return True
 
-    def ping(self, src: str, dst: str, deadline_s: float = 5.0) -> float:
+    def ping(self, src: str, dst: str) -> float:
         t0 = time.monotonic()
         try:
             reply = self.rpc(src, dst, WireMessage(Ping()))
@@ -316,14 +316,12 @@ class _Listener:
 class DirectoryClient:
     """Snapshot view of a remote directory (the ANNOUNCE dump convention)."""
 
-    def __init__(self, net: RealNetwork, name: str = "directory",
-                 client_name: str = "client"):
+    def __init__(self, net: RealNetwork, client_name: str = "client"):
         self.net = net
-        self.name = name
         self.client_name = client_name
 
     def snapshot(self) -> list[ServerInfo]:
-        reply = self.net.rpc(self.client_name, self.name, WireMessage(Announce({})))
+        reply = self.net.rpc(self.client_name, DIRECTORY_ADDR, WireMessage(Announce({})))
         if not isinstance(reply.payload, Announce):
             raise ProtocolError(f"directory answered {reply.kind.name}")
         return [ServerInfo.from_dict(d) for d in reply.payload.record["servers"]]

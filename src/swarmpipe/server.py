@@ -26,7 +26,7 @@ import numpy as np
 
 from . import model as M
 from .balancer import RebalanceConfig, measure_throughput, propose_rebalance
-from .directory import ANNOUNCE_PERIOD_S, DirectoryBoard, ServerInfo
+from .directory import ANNOUNCE_PERIOD_S, DIRECTORY_ADDR, DirectoryBoard, ServerInfo
 from .errors import ProtocolError
 from .netsim import HandlerContext, SimNetwork, SimulatedCrash
 from .wire import (Announce, Backward, Close, Error, Forward, HiddenBlob,
@@ -188,7 +188,6 @@ def _micro_batches(batch: int, tokens: int, micro_batch_tokens: int):
 
 @dataclass
 class SessionState:
-    session_id: int
     start: int
     end: int
     width: int
@@ -206,17 +205,17 @@ class BlockServer:
     """Protocol handler for one server node."""
 
     def __init__(self, cfg: ServerCfg, engine, net: SimNetwork,
-                 board: DirectoryBoard, directory_addr: str = "directory"):
+                 board: DirectoryBoard):
         self.cfg = cfg
         self.engine = engine
         self.net = net
         self.board = board
-        self.directory_addr = directory_addr
         self.n_blocks = engine.config.n_blocks
         self.start = cfg.start
         self.end = min(cfg.start + cfg.capacity, self.n_blocks)
         self.sessions: dict[int, SessionState] = {}
-        self.forward_records: dict[tuple[int, int], list] = {}
+        # (sid, req_id, start, end) -> the recorded inputs of a training FORWARD
+        self.forward_records: dict[tuple[int, int, int, int], list] = {}
         # session -> ((req_id, start, end), reply)
         self.replay: dict[int, tuple[tuple[int, int, int], WireMessage]] = {}
         self.handled = 0
@@ -245,7 +244,7 @@ class BlockServer:
                              self.self_measure()).to_dict()
             self._announcement = ((self.start, self.end), WireMessage(Announce.fixed(rec)))
         try:
-            self.net.post(self.server_id, self.directory_addr, self._announcement[1])
+            self.net.post(self.server_id, DIRECTORY_ADDR, self._announcement[1])
         except Exception:
             pass
 
@@ -352,7 +351,7 @@ class BlockServer:
         if refusal is not None:
             return refusal
         self.sessions[sid] = SessionState(
-            sid, p.start, p.end, p.width, p.quantized,
+            p.start, p.end, p.width, p.quantized,
             self.engine.make_caches(p.start, p.end, p.width), 0,
             self.net.clock.now)
         return WireMessage(Pong())

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .balancer import RebalanceConfig
 from .client import RealClientEngine, SwarmClient, TimedClientEngine
-from .directory import DirectoryBoard, DirectoryHandler
+from .directory import DIRECTORY_ADDR, DirectoryBoard, DirectoryHandler
 from .model import ModelConfig, init_model
 from .netsim import ChurnSchedule, NetProfile, SimNetwork
 from .server import BlockServer, RealServerEngine, ServerCfg, TimedServerEngine
@@ -56,7 +56,7 @@ def _build(model: ModelConfig, profile: NetProfile, seed: int, engine: str,
     registered and announcing."""
     net = SimNetwork(seed=seed, default_profile=profile)
     board = DirectoryBoard(model.n_blocks, lambda: net.clock.now)
-    net.register("directory", DirectoryHandler(board))
+    net.register(DIRECTORY_ADDR, DirectoryHandler(board))
     shared_blocks = init_model(model)[0] if engine == "real" else None
 
     servers: dict[str, BlockServer] = {}

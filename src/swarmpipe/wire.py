@@ -370,10 +370,6 @@ _BY_KIND = {c.kind: c for c in _CODECS.values()}
 _FRAMED_NBYTES = {t: c.framed_nbytes for t, c in _CODECS.items()}
 
 
-def payload_nbytes(payload: Payload) -> int:
-    return framed_nbytes(WireMessage(payload)) - FRAME_OVERHEAD
-
-
 def encode_payload(payload: Payload) -> bytes:
     codec = _CODECS.get(type(payload))
     if codec is None:

@@ -16,7 +16,7 @@ from swarmpipe.swarm import build_sim_swarm
 from swarmpipe.wire import (MAGIC, NO_REPLY, Announce, Backward, Close, Error, Forward,
                             HiddenBlob, Kind, OpenSession, Ping, Pong, Reorder, Restore,
                             Step, StepResult, WireMessage, decode_frame, encode_frame,
-                            encode_payload, fnv1a64, framed_nbytes, payload_nbytes)
+                            encode_payload, fnv1a64, framed_nbytes)
 
 
 class TestQuantize:
