@@ -383,7 +383,7 @@ class BlockServer:
             s.desynced = True
             return WireMessage(Error("desync", "cache length diverged"))
         s.last_activity = self.net.clock.now
-        return WireMessage(StepResult(p.position_offset, out, p.width, p.n_new))
+        return WireMessage(StepResult(out))
 
     def _restore(self, sid: int, p: Restore, ctx: HandlerContext) -> WireMessage:
         s = self._session(sid)
@@ -409,7 +409,7 @@ class BlockServer:
         s.last_activity = self.net.clock.now
         if not p.want_outputs:
             out = HiddenBlob.shape_only(0, self.engine.config.hidden_dim)
-        return WireMessage(StepResult(0, out, p.width, p.t))
+        return WireMessage(StepResult(out))
 
     def _reorder(self, sid: int, p: Reorder, ctx: HandlerContext) -> WireMessage:
         s = self._session(sid)
@@ -443,7 +443,7 @@ class BlockServer:
             # one outstanding training pass per client session
             for key in [k for k in self.forward_records if k[0] == sid and k[1] != p.req_id]:
                 del self.forward_records[key]
-        reply = WireMessage(StepResult(0, out, p.batch, p.tokens))
+        reply = WireMessage(StepResult(out))
         self.replay[sid] = (request, reply)
         return reply
 
@@ -458,7 +458,7 @@ class BlockServer:
                                      "no matching forward; repeat the pass"))
         ctx.consume(2 * self.cfg.stage_seconds(p.end - p.start, rows, False))
         out = self.engine.backward(p.start, p.end, p.blob, p.batch, p.tokens, record)
-        return WireMessage(StepResult(0, out, p.batch, p.tokens))
+        return WireMessage(StepResult(out))
 
     # the handler of each payload type; any other gets a protocol error
     _ROUTES = {Ping: _ping, OpenSession: _open, Step: _step, Restore: _restore,

@@ -2,7 +2,7 @@
 
 Frame layout (all integers little-endian):
 
-    4 bytes   magic "SWP1"
+    4 bytes   magic "SWP2"
     1 byte    message kind; bit 7 (``NO_REPLY``) marks a frame whose sender
               reads no reply
     16 bytes  session id
@@ -39,7 +39,7 @@ from .errors import ProtocolError
 from .quantize import (BLOCK_SIZE, QuantizedHidden, dequantize_hidden, n_blocks_for,
                        quantize_hidden)
 
-MAGIC = b"SWP1"
+MAGIC = b"SWP2"
 _HEADER = struct.Struct("<4sB16sQ")   # magic, kind byte, session id, payload length
 HEADER_LEN = _HEADER.size
 TRAILER_LEN = 8
@@ -193,10 +193,7 @@ class Step:
 
 @dataclass
 class StepResult:
-    position_offset: int
     blob: HiddenBlob
-    width: int = 1
-    n_new: int = 1
 
 
 @dataclass
@@ -325,20 +322,16 @@ def _decode_reorder(buf: bytes) -> Reorder:
 
 
 # Every payload type's layout, once; ``docs/wire.md`` mirrors it. Integers
-# are little-endian. Reserved bytes (``x``) are written as 0 and ignored on
-# decode; they keep every frame the size it had in SWP1 and go with the
-# next magic bump.
+# are little-endian.
 _CODECS: dict[type, _Codec] = {
     OpenSession: _fields(
-        Kind.OPEN_SESSION, "<IIHB12x",
+        Kind.OPEN_SESSION, "<IIHB",
         lambda p: (p.start, p.end, p.width, bool(p.quantized)),
         lambda start, end, width, flags: OpenSession(start, end, width, bool(flags & 1))),
     Step: _fields(
-        Kind.STEP, "<IHH8x", lambda p: (p.position_offset, p.width, p.n_new),
+        Kind.STEP, "<IHH", lambda p: (p.position_offset, p.width, p.n_new),
         lambda pos, width, n_new, blob: Step(pos, blob, width, n_new), blob=True),
-    StepResult: _fields(
-        Kind.STEP_RESULT, "<IHH8x", lambda p: (p.position_offset, p.width, p.n_new),
-        lambda pos, width, n_new, blob: StepResult(pos, blob, width, n_new), blob=True),
+    StepResult: _fields(Kind.STEP_RESULT, "", lambda p: (), StepResult, blob=True),
     Restore: _fields(
         Kind.RESTORE, "<IHB", lambda p: (p.t, p.width, bool(p.want_outputs)),
         lambda t, width, want, blob: Restore(t, blob, width, bool(want)), blob=True),

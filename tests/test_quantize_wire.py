@@ -75,7 +75,7 @@ def _all_kind_messages(rng):
     return [
         WireMessage(OpenSession(0, 4, 2, True), 3),
         WireMessage(Step(11, HiddenBlob.from_array(h), 1, 5), 3),
-        WireMessage(StepResult(11, HiddenBlob.from_array(h, quantized=True), 1, 5), 3),
+        WireMessage(StepResult(HiddenBlob.from_array(h, quantized=True)), 3),
         WireMessage(Restore(5, HiddenBlob.from_array(h), 1, want_outputs=False), 3),
         WireMessage(Reorder([2, 2, 1, 3, 2])),
         WireMessage(Forward(41, HiddenBlob.from_array(h), 1, 5, 2, 6, record=True)),
@@ -90,22 +90,22 @@ def _all_kind_messages(rng):
 
 # sha256 of the frames in test_frame_bytes_of_every_kind_are_pinned
 _PINNED_DIGESTS = {
-    "announce": "ee1d087d174b1fe79a55df138b136cb46dc2f55fb5fcedae773706065b7fe776",
-    "backward_raw": "1d3e5883a5ec289e5c2dd63d9203ffd9ff2da2b850a1436d9c978d40c2dea82a",
-    "close": "13ce757bfe3ae041a590769636679898c0c4d0c9a61cd1e7dd8c8a5d0e2093b3",
-    "close_no_reply": "7cf8b04df2c1a6ba4b3a73ae2b2fce4c653860abb275bdfc06520573fc9412dc",
-    "error": "55d5c72e4311b902ff0cb92d75eaa4ba675fde9bbc15a13224f45e967a242f07",
-    "forward_int8": "06376d5153c7df2d2b3c7c42df05840fd024073bddf9ba1dd032fcb7b600017c",
-    "forward_raw": "1a3d74fa506a0ce30ff7bae9b27d8bc40cc2b2f5518d9f1c130de03720ceda7c",
-    "open_session": "dcc97b9b994d52059be59661718c79fc9def7ccbb0e2b7278d9447a6565bc449",
-    "ping": "914da3aeafabeb7ffbb76ca42c76aafd49b42d50b5df94ba465767e29c8daa00",
-    "pong": "c89290b26a8f9c294d0ed68216613c4111e27fa0444913e6731982ee4962286c",
-    "reorder": "91ed661ccad2ee2ffd094985f477a7dce8b42227b8a64ac96dc26230425abacb",
-    "restore_int8": "2c8b6bdc3a9e4d26632a63b0daddbb339decbd7e414b7c3250b034162df2ddb3",
-    "step_int8": "c707dc390c6329fddab815e1424d468ec493294c2cc6cec2266e24fba0ba2fab",
-    "step_raw": "4c455d75269bdfbc7dc6b9349ff633e2143d7fc7e3f9d6dda12a2e67e38389fd",
-    "step_result_int8": "d75c64a09549ead51252aed8e11ec3e62f661d702378d84b2bf3ca02e68fc4d5",
-    "step_result_raw": "77272c14f39ecc2b5443331db78cfa266a42f078f062db0f569457392919d760",
+    "announce": "3351d57fd966f8368cf17956fde8d0396af1ff84d53324ae41227165784c272f",
+    "backward_raw": "b06b1a008cc3b2f38b52e856c788101658655653bb14da532b99699c4f0395f0",
+    "close": "f8ebc9331632d843390db3798cd1c7b636a9971aa5128ecda9cf297f8a0ac5eb",
+    "close_no_reply": "d9e267c8d249e0fd5241608d9006808bfb317d430dee606b0cc6c5d7715b2064",
+    "error": "c43a24d91465fcddb1578da15c44ca77b4562c68d154d9b45927216011c49341",
+    "forward_int8": "b06c71009af7046f2ce4865ca4a213982dd8dc197c8864f7ebf5adcb5df1ee45",
+    "forward_raw": "482d4c49bd6e70d6d3cc109ca08ce3c5db55c66547debf6a69ad74c6cdd3cdec",
+    "open_session": "5db6d1a0ba469fc7fa24d2719ad70d8bd8825c3feb9a73655760b8c4f1f19d3b",
+    "ping": "0223710cbe3bec97cd4bfe9533be93c256fefdc7b0f646ceac3997feb4c9897a",
+    "pong": "7041b4c03c68904af52cf6888923d81269f4238396123291400bf7d4dff460ee",
+    "reorder": "1b45a2138f0ef1fea0045144024fdf4ece4e7b6b358e54e540ad8825c3c76305",
+    "restore_int8": "db75b719d60f95cf45d195d739982cadae05dae9366e5ce483d1209245929259",
+    "step_int8": "5522092a600450dbd593a892445fa48d2a62a0d2864e0ea2f2dd6c2c60615008",
+    "step_raw": "04c78608712a3e6ddcc020b4cb5fe82b24aa7c8bc0654b5c907dd6c412478774",
+    "step_result_int8": "81380036b3384dee349d2ee861959e3248bbb4674420b3b6d3212ccad536e8c6",
+    "step_result_raw": "011ca16d51a963733f70e416e2b4e2d182091ee7bb991886ba97e76252ea7b17",
 }
 
 
@@ -149,13 +149,18 @@ class TestFraming:
             Forward(3, HiddenBlob.from_array(h), 1, 5, 0, 4, quantize_reply=True))))
         assert not back.payload.record and back.payload.quantize_reply
 
-    def test_reserved_fields_keep_frame_sizes(self, rng):
-        """OPEN_SESSION and STEP keep their reserved words, so every simulated
-        byte count stays what it was when those words carried data."""
-        assert len(encode_frame(WireMessage(OpenSession(0, 2)))) == 60
+    def test_swp2_frames_carry_only_read_fields(self, rng):
+        """SWP2 frames hold no reserved bytes and STEP_RESULT only its blob,
+        and an SWP1 frame is refused for its magic."""
         h = rng.standard_normal((1, 64)).astype(np.float32)
-        step = WireMessage(Step(0, HiddenBlob.from_array(h), 1, 1), 7)
-        assert len(encode_frame(step)) == framed_nbytes(step) == 318
+        blob = HiddenBlob.from_array(h)
+        for msg, size in ((WireMessage(OpenSession(0, 2)), 48),
+                          (WireMessage(Step(0, blob, 1, 1), 7), 310),
+                          (WireMessage(StepResult(blob), 7), 302)):
+            assert framed_nbytes(msg) == len(encode_frame(msg)) == size
+        swp1 = b"SWP1" + encode_frame(WireMessage(Ping()))[4:]
+        with pytest.raises(ProtocolError, match="^bad magic$"):
+            decode_frame(swp1)
 
     def test_frame_bytes_of_every_kind_are_pinned(self):
         """Frames of every kind, built from arithmetic arrays, hash to pinned
@@ -168,8 +173,8 @@ class TestFraming:
             "open_session": WireMessage(OpenSession(1, 7, 4, True), sid),
             "step_raw": WireMessage(Step(300, raw, 1, 5), sid),
             "step_int8": WireMessage(Step(300, q, 5, 1), sid),
-            "step_result_raw": WireMessage(StepResult(17, raw, 5, 1), sid),
-            "step_result_int8": WireMessage(StepResult(17, q, 1, 5), sid),
+            "step_result_raw": WireMessage(StepResult(raw), sid),
+            "step_result_int8": WireMessage(StepResult(q), sid),
             "restore_int8": WireMessage(Restore(5, q, 1, want_outputs=False), sid),
             "reorder": WireMessage(Reorder([3, 1, 2, 2]), sid),
             "forward_raw": WireMessage(Forward(2 ** 40 + 9, raw, 1, 5, 2, 6, record=True), 5),
