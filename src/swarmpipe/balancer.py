@@ -38,15 +38,23 @@ def choose_start(n_blocks: int, capacity: int, loads: list[float]) -> int:
     """Best start for a capacity-sized window over the per-block loads.
 
     Compares sorted window load vectors lexicographically and returns the
-    leftmost start among minimums.
+    leftmost start among minimums. A sorted window begins with its least
+    load, so when the global least load sits at one block only, only the
+    windows covering that block can win and no other start is scanned.
     """
     if not (1 <= capacity <= n_blocks):
         raise ConfigurationError(f"capacity {capacity} not in [1, {n_blocks}]")
     if len(loads) != n_blocks:
         raise ConfigurationError("load vector length != n_blocks")
-    best_start = 0
-    best_key = sorted(loads[0:capacity])
-    for start in range(1, n_blocks - capacity + 1):
+    low = min(loads)
+    if loads.count(low) == 1:
+        b = loads.index(low)
+        lo, hi = max(0, b - capacity + 1), min(b, n_blocks - capacity)
+    else:
+        lo, hi = 0, n_blocks - capacity
+    best_start = lo
+    best_key = sorted(loads[lo:lo + capacity])
+    for start in range(lo + 1, hi + 1):
         key = sorted(loads[start:start + capacity])
         if key < best_key:
             best_key = key
@@ -79,12 +87,29 @@ def greedy_fixpoint(snapshot: list[ServerInfo], n_blocks: int) -> list[ServerInf
     """Cascade simulation: every server repeatedly re-applies the placement
     rule to the hypothetical state, in ascending server-id order, until no one
     moves or 2x the server count of sweeps have run. Loads are maintained
-    incrementally within a sweep and recomputed exactly between sweeps."""
+    incrementally within a sweep and recomputed exactly between sweeps.
+
+    A sweep is therefore a function of the placement (each server's start and
+    state) it starts from, so once a placement repeats the sweeps cycle. The
+    cascade stops at the first repeated placement and sets the one the full
+    2x sweeps would have ended on: the same result for fewer sweeps."""
     state = {r.server_id: ServerInfo(r.server_id, r.address, r.start, r.end,
                                      r.throughput, r.state, r.announced_at)
              for r in snapshot if r.state != STATE_OFFLINE}
     order = sorted(state)
-    for _ in range(2 * max(1, len(order))):
+    sweeps = 2 * max(1, len(order))
+    seen: dict[tuple, int] = {}             # placement -> sweep it started
+    for k in range(sweeps):
+        placement = tuple((state[sid].start, state[sid].state) for sid in order)
+        if placement in seen:
+            first = seen[placement]
+            last = list(seen)[first + (sweeps - first) % (k - first)]
+            for sid, (start, st) in zip(order, last):
+                rec = state[sid]
+                cap = rec.end - rec.start
+                rec.start, rec.end, rec.state = start, start + cap, st
+            break
+        seen[placement] = k
         moved = False
         loads = block_load(list(state.values()), n_blocks)
         for sid in order:
@@ -272,17 +297,22 @@ def greedy_join_assignment(servers: list[tuple[int, float]], n_blocks: int,
                            order: list[int] | None = None
                            ) -> tuple[dict[int, tuple[int, int]], float]:
     """Assignment produced by servers joining one at a time under the
-    placement rule, in the given order (default: list order)."""
+    placement rule, in the given order (default: list order). ``order`` may
+    name a subset of the servers, each at most once."""
+    if order is None:
+        order = range(len(servers))
+    elif len(set(order)) != len(order):
+        raise ConfigurationError("join order names a server more than once")
     loads = [0.0] * n_blocks
     assign: dict[int, tuple[int, int]] = {}
-    for i in (order if order is not None else range(len(servers))):
+    for i in order:
         cap, thr = min(servers[i][0], n_blocks), servers[i][1]
         s = choose_start(n_blocks, cap, loads)
         assign[i] = (s, s + cap)
         for b in range(s, s + cap):
             loads[b] += thr
-    return assign, bottleneck(((s, e, servers[i][1]) for i, (s, e) in assign.items()),
-                              n_blocks)
+    # loads is the coverage of assign, summed in the same order
+    return assign, min(loads, default=0.0)
 
 
 def greedy_swarm_assignment(servers: list[tuple[int, float]], n_blocks: int,

@@ -319,7 +319,7 @@ def _upper_bound(online: list[int], caps: np.ndarray, thr: np.ndarray,
     order_rng = np.random.Generator(np.random.PCG64(spec.seed * 100_003 + minute))
     n = len(servers)
     for _ in range(spec.upper_bound_orders):
-        order = list(order_rng.permutation(n))
+        order = order_rng.permutation(n).tolist()
         _, v = greedy_join_assignment(servers, spec.n_blocks, order)
         best = max(best, v)
     return best

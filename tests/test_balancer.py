@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmpipe import balancer
 from swarmpipe.balancer import (RebalanceConfig, choose_start, greedy_fixpoint,
                                 greedy_join_assignment, greedy_swarm_assignment,
                                 measure_throughput, optimal_assignment_bruteforce,
                                 propose_rebalance, swarm_throughput)
-from swarmpipe.directory import ServerInfo
+from swarmpipe.directory import STATE_OFFLINE, STATE_ONLINE, ServerInfo, block_load
 from swarmpipe.errors import ConfigurationError
 
 
@@ -53,6 +54,19 @@ class TestChooseStart:
         want = min(range(len(keys)), key=lambda s: (keys[s], s))
         assert got == want
         assert 0 <= got <= n_blocks - capacity
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_enumeration_with_tied_loads(self, data):
+        """Loads from a small pool tie often, and -0.0 ties with 0.0, so both
+        the scan of every start and the scan around a lone least load run."""
+        n_blocks = data.draw(st.integers(1, 32))
+        capacity = data.draw(st.integers(1, n_blocks))
+        loads = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0, 3.0 + 1e-12]),
+                                   min_size=n_blocks, max_size=n_blocks))
+        got = choose_start(n_blocks, capacity, loads)
+        keys = [sorted(loads[s:s + capacity]) for s in range(n_blocks - capacity + 1)]
+        assert got == min(range(len(keys)), key=lambda s: (keys[s], s))
 
 
 class TestSwarmThroughput:
@@ -123,6 +137,82 @@ class TestRebalance:
             assert propose_rebalance(sid, snap, 12, RebalanceConfig()) is None
 
 
+def _fixpoint_reference(snapshot, n_blocks):
+    """The cascade as it ran before it stopped at a repeated placement: every
+    sweep up to the 2x cap. Returns the records and the sweeps run."""
+    state = {r.server_id: ServerInfo(r.server_id, r.address, r.start, r.end,
+                                     r.throughput, r.state, r.announced_at)
+             for r in snapshot if r.state != STATE_OFFLINE}
+    order = sorted(state)
+    sweeps = 0
+    for _ in range(2 * max(1, len(order))):
+        sweeps += 1
+        moved = False
+        loads = block_load(list(state.values()), n_blocks)
+        for sid in order:
+            rec = state[sid]
+            cap = rec.end - rec.start
+            for b in range(rec.start, rec.end):
+                loads[b] -= rec.throughput
+            start = choose_start(n_blocks, cap, loads)
+            if start != rec.start:
+                rec.start, rec.end = start, start + cap
+                rec.state = STATE_ONLINE
+                moved = True
+            for b in range(rec.start, rec.end):
+                loads[b] += rec.throughput
+        if not moved:
+            break
+    return list(state.values()), sweeps
+
+
+def _placed(records):
+    return [(r.server_id, r.start, r.end, r.state) for r in records]
+
+
+# A cascade from the churn study ChurnStudySpec(duration_min=60, period_min=60),
+# seed 0, whose placements cycle: the sweep loop above runs all 14 sweeps on it.
+_CYCLING = [("v019", 0, 2, 42.26872211976585), ("v020", 8, 18, 2.8319671145462966),
+            ("v021", 0, 1, 12.428327649956394), ("v022", 1, 8, 67.06244146936304),
+            ("v023", 3, 9, 64.71895115742501), ("v024", 9, 18, 61.53851114812539),
+            ("v025", 0, 3, 38.367755426188346)]
+
+
+class TestFixpoint:
+    def test_matches_full_sweeps_on_random_snapshots(self):
+        rng = np.random.default_rng(0)
+        capped = 0
+        for _ in range(300):
+            n_blocks = int(rng.integers(1, 19))
+            snap = []
+            for i in range(int(rng.integers(1, 13))):
+                cap = int(rng.integers(1, min(n_blocks, 10) + 1))
+                start = int(rng.integers(0, n_blocks - cap + 1))
+                thr = (float(rng.uniform(0, 100)) if rng.random() < 0.7
+                       else float(rng.choice([1.0, 2.0, 5.0])))
+                state = str(rng.choice(["online", "joining", "offline"], p=[0.6, 0.2, 0.2]))
+                snap.append(_srv(f"s{i:02d}", start, start + cap, thr, state))
+            want, sweeps = _fixpoint_reference(snap, n_blocks)
+            capped += sweeps == 2 * max(1, len(want))
+            assert _placed(greedy_fixpoint(snap, n_blocks)) == _placed(want)
+        assert capped >= 5, "too few cycling cascades to test the early stop"
+
+    def test_cycling_cascade_stops_early_with_the_same_result(self, monkeypatch):
+        snap = [_srv(sid, s, e, thr) for sid, s, e, thr in _CYCLING]
+        want, sweeps = _fixpoint_reference(snap, 18)
+        assert sweeps == 2 * len(snap)
+        calls = []
+        real = balancer.choose_start
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(balancer, "choose_start", counted)
+        assert _placed(greedy_fixpoint(snap, 18)) == _placed(want)
+        assert len(calls) < 2 * len(snap) * len(snap)
+
+
 class TestBruteForce:
     def test_single_server_takes_everything(self):
         assign, value = optimal_assignment_bruteforce([(4, 9.0)], 4)
@@ -185,3 +275,12 @@ class TestGreedyJoin:
         servers = [(2, 10.0), (2, 10.0)]
         a, _ = greedy_join_assignment(servers, 4, order=[0, 1])
         assert a[0] == (0, 2) and a[1] == (2, 4)
+
+    def test_repeated_index_rejected(self):
+        with pytest.raises(ConfigurationError):
+            greedy_join_assignment([(2, 10.0), (2, 5.0), (2, 7.0)], 4, [0, 0, 1, 2])
+
+    def test_subset_order_allowed(self):
+        a, value = greedy_join_assignment([(2, 10.0), (2, 5.0), (2, 7.0)], 4, [2, 1])
+        assert a == {2: (0, 2), 1: (2, 4)}
+        assert value == 5.0

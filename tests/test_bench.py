@@ -1,5 +1,6 @@
 """Benchmark harness: estimator values, record plumbing, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -105,6 +106,13 @@ class TestChurnStudy:
         for m in small.minutes:
             if m.feasible:
                 assert m.throughput["full_p20"] > 0
+
+    def test_bench_study_records_pinned(self, tmp_path):
+        """The churn request of perfbench's ``studies`` workload, seed 0."""
+        result = run_load_balance_experiment(ChurnStudySpec(duration_min=60, period_min=60))
+        jsonl, _ = write_records(churn_records(result, 0), str(tmp_path / "churn.jsonl"))
+        assert (hashlib.sha256(Path(jsonl).read_bytes()).hexdigest()
+                == "619e57c23b56ed4657aa208015ae1035b19ea1f59996ef07b62cf6d35eab1367")
 
     def test_deterministic(self):
         spec = ChurnStudySpec(seed=5, n_servers=12, n_blocks=8, duration_min=20,

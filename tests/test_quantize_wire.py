@@ -1,6 +1,7 @@
 """Wire codec: blockwise int8 quantization and frame round-trips."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -277,6 +278,11 @@ def _frame(kind: int, body: bytes, session_id: int = 0) -> bytes:
 _VALID = [(int(m.kind), encode_payload(m.payload))
           for m in _all_kind_messages(np.random.default_rng(0))]
 
+# STEP fixed fields, then a raw blob header claiming 0xFFFFFFFF x 0xFFFFFFFF
+# (about 2^64) floats and no data
+_HUGE_BLOB_STEP = (struct.pack("<IHH", 0, 1, 1)
+                   + wire._BLOB_HEADER.pack(wire.ENC_RAW, 0xFFFFFFFF, 0xFFFFFFFF))
+
 
 class TestMalformedFrames:
     """A frame whose checksum holds may still be malformed; decoding it
@@ -289,7 +295,7 @@ class TestMalformedFrames:
         pytest.param(Kind.OPEN_SESSION, b"\x00" * 5, id="short-open"),
         pytest.param(Kind.REORDER, b"\x05\x00\x01\x00", id="reorder-5-slots-1-sent"),
         pytest.param(Kind.STEP, _VALID[1][1][:-4], id="blob-past-payload"),
-        pytest.param(Kind.STEP, _VALID[1][1][:16] + b"\xff" * 8, id="blob-2^64-floats"),
+        pytest.param(Kind.STEP, _HUGE_BLOB_STEP, id="blob-2^64-floats"),
         pytest.param(Kind.ANNOUNCE, b"{not json", id="announce-bad-json"),
         pytest.param(Kind.ANNOUNCE, b"[1, 2]", id="announce-not-an-object"),
         pytest.param(Kind.ERROR, b"\xff\xfe", id="error-not-utf8"),
@@ -301,6 +307,14 @@ class TestMalformedFrames:
     def test_rejected_as_protocol_error(self, kind, body):
         with pytest.raises(ProtocolError):
             decode_frame(_frame(kind, body))
+
+    def test_huge_blob_reaches_the_blob_decoder(self):
+        enc, rows, cols = wire._BLOB_HEADER.unpack_from(_HUGE_BLOB_STEP, struct.calcsize("<IHH"))
+        assert (enc, rows, cols) == (wire.ENC_RAW, 0xFFFFFFFF, 0xFFFFFFFF)
+        with pytest.raises(ProtocolError) as e:
+            decode_frame(_frame(Kind.STEP, _HUGE_BLOB_STEP))
+        # the float count, rows * cols, does not fit the buffer reader's size
+        assert isinstance(e.value.__cause__, OverflowError)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.sampled_from(_VALID), st.data())
