@@ -7,7 +7,7 @@ import numpy as np
 
 from swarmpipe import (ModelConfig, init_model, parameter_count,
                        reference_beam, reference_generate)
-from swarmpipe.model import HiddenStates, KVCache, block_forward, block_forward_batched
+from swarmpipe.model import KVCache, block_forward_batched
 
 cfg = ModelConfig(seed=1)
 blocks, client = init_model(cfg)
@@ -29,9 +29,10 @@ full, _, _ = block_forward_batched(blocks[0], x[None],
 cache = KVCache.empty(cfg)
 stepped = []
 for i in range(10):
-    y, delta = block_forward(blocks[0], HiddenStates(x[i:i + 1], i), cache)
-    cache.append(delta.keys, delta.values)
-    stepped.append(y.data)
+    y, k_new, v_new = block_forward_batched(blocks[0], x[None, i:i + 1],
+                                            cache.keys, cache.values)
+    cache.append(k_new, v_new)
+    stepped.append(y[0])
 err = np.abs(np.concatenate(stepped) - full[0]).max()
 print(f"stepped vs batched max error: {err:.2e}")
 

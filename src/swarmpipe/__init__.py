@@ -34,7 +34,6 @@ from .errors import (
     MessageDropped,
     NoRouteError,
     ProtocolError,
-    StateDesyncError,
     SwarmError,
     SwarmUnavailableError,
     TransportError,
@@ -43,11 +42,9 @@ from .errors import (
 from .model import (
     BlockParams,
     ClientParams,
-    HiddenStates,
     KVCache,
     ModelConfig,
     block_backward,
-    block_forward,
     init_model,
     parameter_count,
     params_hash,
@@ -64,14 +61,14 @@ __all__ = [
     "BanList", "BlockParams", "BlockServer", "BudgetExhausted", "CapacityError",
     "Chain", "ChurnSchedule", "ChurnStudySpec", "ClientParams",
     "ConfigurationError", "ConnectionFailed", "DirectoryBoard", "ExperimentSpec",
-    "FinetuneSession", "GenerateResult", "HiddenStates", "KVCache",
+    "FinetuneSession", "GenerateResult", "KVCache",
     "MessageDropped", "ModelConfig", "NetProfile", "NoRouteError",
     "ProtocolError", "QuantizedHidden", "RealServerEngine", "RebalanceConfig",
     "RoutingGraph", "ServerCfg", "ServerInfo", "ServerRoute", "SimNetwork",
-    "SimSwarm", "StateDesyncError", "Strategy", "SwarmClient", "SwarmError",
+    "SimSwarm", "Strategy", "SwarmClient", "SwarmError",
     "SwarmUnavailableError", "TimedServerEngine", "TransportError",
     "Unreachable", "VirtualClock",
-    "block_backward", "block_forward", "block_load", "build_sim_swarm",
+    "block_backward", "block_load", "build_sim_swarm",
     "build_swarm_from_config", "choose_start", "dequantize_hidden", "edge_cost",
     "estimate_offload_bound", "greedy_join_assignment", "greedy_swarm_assignment",
     "init_model", "measure_throughput", "optimal_assignment_bruteforce",

@@ -4,7 +4,7 @@ and the offloading throughput bound.
 Simulated steps/s comes from the virtual clock, so results depend only on the
 configured cost model and seed, never on host speed. Records are written as
 JSON lines plus a CSV summary; identical (spec, seed) pairs produce byte-
-identical files (wall-clock time is kept in memory only).
+identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import time
 import zlib
 from dataclasses import dataclass, field, asdict
 
@@ -67,12 +66,9 @@ class RunRecord:
     restarts: int
     completed: bool
     cutoff: str = ""
-    wall_time_s: float = 0.0             # in-memory only, not serialized
 
     def row(self) -> dict:
-        d = asdict(self)
-        d.pop("wall_time_s")
-        return d
+        return asdict(self)
 
 
 def write_records(records: list[RunRecord], out_path: str) -> tuple[str, str]:
@@ -126,7 +122,6 @@ def run_failure_rate_cell(spec: ExperimentSpec, p: float, length: int,
     probe = (_hopeless_restart_probe(p, spec.n_stages, length)
              if strategy == Strategy.RESTART else None)
     started = swarm.net.clock.now
-    wall0 = time.perf_counter()
     completed, cutoff, recov, restarts, payload = True, "", 0, 0, 0
     try:
         res = client.generate(prefix, length, strategy=strategy,
@@ -149,8 +144,7 @@ def run_failure_rate_cell(spec: ExperimentSpec, p: float, length: int,
         steps_per_s=(length / sim_time if completed and sim_time > 0 else None),
         sim_time_s=sim_time, bytes_total=swarm.net.total_bytes(),
         payload_bytes=payload, recoveries=recov, restarts=restarts,
-        completed=completed, cutoff=cutoff,
-        wall_time_s=time.perf_counter() - wall0)
+        completed=completed, cutoff=cutoff)
 
 
 def run_failure_rate_experiment(spec: ExperimentSpec) -> list[RunRecord]:
@@ -274,12 +268,13 @@ def run_load_balance_experiment(spec: ChurnStudySpec) -> ChurnStudyResult:
                 continue
             st = states[name]
             cfg = RebalanceConfig(threshold_pct=threshold_of[name])
+            snap = st.snapshot(thr)     # propose_rebalance only reads it
             for i in sorted(st.intervals):
-                snap = st.snapshot(thr)
                 move = propose_rebalance(f"v{i:03d}", snap, spec.n_blocks, cfg)
                 if move is not None:
                     st.intervals[i] = move
                     st.replaced_blocks += move[1] - move[0]
+                    snap = st.snapshot(thr)
 
         feasible = int(sum(caps[i] for i in online)) >= spec.n_blocks
         throughput = {}

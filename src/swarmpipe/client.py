@@ -119,8 +119,8 @@ class RealClientEngine:
         self.config = config
         self.params = client_params or M.init_client_params(config)
 
-    def embed_array(self, tokens: list[int]) -> np.ndarray:
-        return self.params.embedding[np.asarray(tokens, dtype=np.intp)].copy()
+    def embed_array(self, tokens) -> np.ndarray:
+        return M.embed(self.params, tokens)
 
     def pick(self, final_rows: np.ndarray, mode: str, rng) -> int:
         logits = M.logits_for(self.params, final_rows[-1])
@@ -151,38 +151,33 @@ class TimedClientEngine:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _HistoryItem:
-    rows: np.ndarray | None = None      # [width, n_new, d] sent
-    parents0: list[int] | None = None   # set instead for a beam reorder
-
-
-@dataclass
 class _Stage:
+    """An open session on one hop, and every row the client sent it.
+
+    ``history`` holds ``[width, n, d]`` arrays whose slots are in the
+    session's current slot order, so along axis 1 they are each slot's whole
+    input sequence: the state a replacement must rebuild. The timed engine
+    sends no rows and keeps none."""
+
     hop: Hop
     session_id: int
-    history: list[_HistoryItem] = field(default_factory=list)
+    history: list[np.ndarray] = field(default_factory=list)
     rows_sent: int = 0             # positions processed at this stage
 
     def record(self, rows: np.ndarray | None, width: int, n_new: int) -> None:
-        """Keep the rows sent; the timed engine sends none and keeps nothing."""
+        """Keep a copy of the rows sent."""
         if rows is not None:
-            self.history.append(_HistoryItem(rows.reshape(width, n_new, -1).copy()))
+            self.history.append(rows.reshape(width, n_new, -1).copy())
 
-    def lineage_matrix(self, d: int, final_width: int) -> np.ndarray | None:
-        """Per-slot input sequences after composing beam reorders: the exact
-        state a replacement must rebuild. Shape [final_width, t, d]."""
-        anc = list(range(final_width))
-        collected: list[list[np.ndarray]] = [[] for _ in range(final_width)]
-        for it in reversed(self.history):
-            if it.parents0 is not None:
-                anc = [it.parents0[a] for a in anc]
-            else:
-                for s in range(final_width):
-                    collected[s].append(it.rows[anc[s]])
-        if not collected[0]:
-            return None             # nothing recorded: the timed engine
-        slots = [np.concatenate(list(reversed(ch)), axis=0) for ch in collected]
-        return np.stack(slots)
+    def reorder(self, parents0: list[int]) -> None:
+        """Follow a beam reorder: new slot i holds old slot ``parents0[i]``."""
+        if self.history:
+            self.history = [np.concatenate(self.history, axis=1)[parents0]]
+
+    def lineage(self) -> np.ndarray | None:
+        """Every slot's input sequence, ``[width, rows_sent, d]``; None when
+        nothing was recorded (the timed engine)."""
+        return np.concatenate(self.history, axis=1) if self.history else None
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +285,10 @@ class SwarmClient:
 
     def _rebuild(self, stage: _Stage, hist: np.ndarray | None, width: int, quantized: bool,
                  counters: RunCounters, want_outputs: bool = False):
-        """Open a fresh session for ``stage`` and replay ``hist``, the
-        ``[width, rows_sent, d]`` lineage matrix of its history (None on the
-        timed engine), there in one batched restore; returns the restore's
-        outputs if asked for."""
+        """Open a fresh session for ``stage`` and replay ``hist``, its
+        ``[width, rows_sent, d]`` history from ``_Stage.lineage`` (None on
+        the timed engine), there in one batched restore; returns the
+        restore's outputs if asked for."""
         t = stage.rows_sent
         self._open_session(stage, width, quantized)
         wire_q = self._request_quantized(stage.hop, quantized)
@@ -380,7 +375,7 @@ class SwarmClient:
         self._call_stage(stage.hop.server_id, stage.session_id,
                          Reorder([p + 1 for p in parents0]))
         counters.messages += 1
-        stage.history.append(_HistoryItem(parents0=list(parents0)))
+        stage.reorder(parents0)
         return parents0
 
     def _replace_failed_stage(self, failed: _Stage, width: int, quantized: bool,
@@ -390,7 +385,7 @@ class SwarmClient:
         a replacement that fails closes the ones already rebuilt."""
         self.bans.ban(failed.hop.server_id)
         counters.recoveries += 1
-        hist = failed.lineage_matrix(self.config.hidden_dim, width)
+        hist = failed.lineage()
         t = failed.rows_sent
 
         for _ in range(MAX_REROUTES):
@@ -433,7 +428,7 @@ class SwarmClient:
                     raise
                 if not f.ban:       # expired/desync: rebuild on the live server
                     counters.recoveries += 1
-                    hist = stage.lineage_matrix(self.config.hidden_dim, width)
+                    hist = stage.lineage()
                     try:
                         self._rebuild(stage, hist, width, quantized, counters)
                         continue
@@ -696,8 +691,7 @@ class FinetuneSession:
 
         x = np.empty((B, P + T, d), np.float32)
         x[:, :P, :] = self.soft_prompt
-        for b in range(B):
-            x[:, P:, :][b] = engine.embed_array(list(batch_tokens[b]))
+        x[:, P:, :] = engine.embed_array(batch_tokens)
 
         h = x
         for hop in chain.hops:

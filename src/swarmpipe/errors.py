@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Model/protocol errors map one-to-one onto wire ERROR codes (see wire.py);
-transport errors describe delivery outcomes of the simulated or real network.
+Model and protocol errors are raised in-process. A server answers a refused
+request with a wire ``Error`` code instead (see wire.py), and
+``client._refused`` decides what each code raises in the client. Transport
+errors describe delivery outcomes of the simulated or real network.
 """
 
 
@@ -15,10 +17,6 @@ class ConfigurationError(SwarmError):
 
 class CapacityError(SwarmError):
     """Sequence length or cache width exceeds configured capacity."""
-
-
-class StateDesyncError(SwarmError):
-    """Client and server disagree about session position; restore or restart."""
 
 
 class ProtocolError(SwarmError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, ProtocolError, StateDesyncError
+from .errors import CapacityError, ConfigurationError, ProtocolError
 
 _LN_EPS = 1e-5
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -135,14 +135,6 @@ class ClientParams:
 
     def n_params(self) -> int:
         return self.embedding.size
-
-
-@dataclass
-class HiddenStates:
-    """Activation rows [tokens x hidden] plus their absolute position."""
-
-    data: np.ndarray
-    position_offset: int = 0
 
 
 @dataclass
@@ -311,22 +303,6 @@ def block_forward_batched(params: BlockParams, x: np.ndarray,
     return y.astype(np.float32, copy=False), k_new, v_new
 
 
-def block_forward(params: BlockParams, inputs: HiddenStates, cache: KVCache
-                  ) -> tuple[HiddenStates, KVCache]:
-    """Single-sequence cached forward. Returns outputs for the new positions
-    and the K/V delta to append. Raises StateDesyncError if the cache length
-    does not match the claimed position offset."""
-    if cache.length != inputs.position_offset:
-        raise StateDesyncError(
-            f"cache length {cache.length} != position offset {inputs.position_offset}")
-    if inputs.data.ndim != 2:
-        raise ProtocolError("inputs must be [tokens x hidden]")
-    y, k_new, v_new = block_forward_batched(
-        params, inputs.data[None, :, :], cache.keys, cache.values)
-    delta = KVCache(k_new, v_new)
-    return HiddenStates(y[0], inputs.position_offset), delta
-
-
 # ---------------------------------------------------------------------------
 # backward (training mode: full sequence, no KV cache)
 # ---------------------------------------------------------------------------
@@ -347,23 +323,22 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
 
 
-def block_backward(params: BlockParams, recorded_inputs: HiddenStates,
-                   grad_out: HiddenStates, n_heads: int = 4) -> HiddenStates:
-    """Gradient of the block output wrt its inputs. Never touches params.
+def block_backward(params: BlockParams, x: np.ndarray, dy: np.ndarray,
+                   n_heads: int) -> np.ndarray:
+    """Gradient of the block output wrt its inputs ``x`` ([t, d] or
+    [B, t, d]), shaped like ``x``. Never touches params.
 
     Recomputes the forward in float64 from the recorded inputs (full batch,
-    causal attention, no history) and backpropagates grad_out through it.
+    causal attention, no history) and backpropagates ``dy`` through it.
     """
-    x32 = recorded_inputs.data
-    dy32 = grad_out.data
-    if x32.shape != dy32.shape:
-        raise ProtocolError(f"grad shape {dy32.shape} != input shape {x32.shape}")
-    squeeze = x32.ndim == 2
+    if x.shape != dy.shape:
+        raise ProtocolError(f"grad shape {dy.shape} != input shape {x.shape}")
+    squeeze = x.ndim == 2
     if squeeze:
-        x32, dy32 = x32[None], dy32[None]
+        x, dy = x[None], dy[None]
 
-    x = x32.astype(np.float64)
-    dy = dy32.astype(np.float64)
+    x = x.astype(np.float64)
+    dy = dy.astype(np.float64)
     bsz, t, d = x.shape
     wq, wk, wv, wo = (params.wq.astype(np.float64), params.wk.astype(np.float64),
                       params.wv.astype(np.float64), params.wo.astype(np.float64))
@@ -406,18 +381,16 @@ def block_backward(params: BlockParams, recorded_inputs: HiddenStates,
     dx = dx1 + _ln_backward(x, ln1_g, dh)
 
     out = dx.astype(np.float32)
-    if squeeze:
-        out = out[0]
-    return HiddenStates(out, recorded_inputs.position_offset)
+    return out[0] if squeeze else out
 
 
 # ---------------------------------------------------------------------------
 # local generation oracles
 # ---------------------------------------------------------------------------
 
-def embed_tokens(client: ClientParams, tokens: list[int], position_offset: int = 0) -> HiddenStates:
-    return HiddenStates(client.embedding[np.asarray(tokens, dtype=np.intp)].copy(),
-                        position_offset)
+def embed(client: ClientParams, tokens) -> np.ndarray:
+    """Embedding rows of ``tokens``, shaped ``tokens.shape + (d,)``; a copy."""
+    return client.embedding[np.asarray(tokens, dtype=np.intp)]
 
 
 def logits_for(client: ClientParams, row: np.ndarray) -> np.ndarray:
@@ -443,10 +416,10 @@ def sample_pick(logits: np.ndarray, rng: np.random.Generator) -> int:
 class _LocalRunner:
     """Single-process cached stepping through all blocks."""
 
-    def __init__(self, config: ModelConfig, blocks: list[BlockParams], width: int = 1):
+    def __init__(self, config: ModelConfig, blocks: list[BlockParams]):
         self.config = config
         self.blocks = blocks
-        self.caches = [KVCache.empty(config, width) for _ in blocks]
+        self.caches = [KVCache.empty(config) for _ in blocks]
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """x: [width, n, d] new rows; returns final-block outputs."""
@@ -479,13 +452,13 @@ def reference_generate(config: ModelConfig, prefix: list[int], n_new: int,
     rng = np.random.Generator(np.random.PCG64(sample_seed)) if mode == "sample" else None
 
     out = list(prefix)
-    x = embed_tokens(client, prefix).data[None]
+    x = embed(client, [prefix])
     for _ in range(n_new):
         y = runner.step(x)
         logits = logits_for(client, y[0, -1])
         tok = greedy_pick(logits) if mode == "greedy" else sample_pick(logits, rng)
         out.append(tok)
-        x = embed_tokens(client, [tok]).data[None]
+        x = embed(client, [[tok]])
     return out
 
 
@@ -531,12 +504,12 @@ def reference_beam(config: ModelConfig, prefix: list[int], n_new: int, k: int
     runner = _LocalRunner(config, blocks)
 
     hyps, scores = [list(prefix)], np.zeros(1)
-    x = embed_tokens(client, prefix).data[None]        # [1, t, d]
+    x = embed(client, [prefix])                        # [1, t, d]
     for i in range(n_new):
         y = runner.step(x)
         parents, tokens, scores = beam_select(scores, logits_for(client, y[:, -1]), k)
         hyps = [hyps[p] + [t] for p, t in zip(parents, tokens)]
         if i < n_new - 1:
             runner.reorder(parents)                    # the first turns width 1 into k clones
-            x = np.stack([embed_tokens(client, [h[-1]]).data for h in hyps])  # [k, 1, d]
+            x = embed(client, [[h[-1]] for h in hyps])  # [k, 1, d]
     return [(h, float(s)) for h, s in zip(hyps, scores)]

@@ -126,8 +126,7 @@ class RealServerEngine:
             gc = g[chunk]
             for offset, bi in enumerate(reversed(range(start, end))):
                 xin = per_block[len(per_block) - 1 - offset]
-                gc = M.block_backward(self.blocks[bi], M.HiddenStates(xin),
-                                      M.HiddenStates(gc), self.config.n_heads).data
+                gc = M.block_backward(self.blocks[bi], xin, gc, self.config.n_heads)
             grads.append(gc)
         out = np.concatenate(grads, axis=0)
         return HiddenBlob.from_array(out.reshape(batch * tokens, -1))

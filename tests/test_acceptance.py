@@ -14,7 +14,7 @@ from swarmpipe.balancer import (choose_start, greedy_swarm_assignment,
 from swarmpipe.bench import (ChurnStudySpec, ExperimentSpec, estimate_offload_bound,
                              run_failure_rate_cell, run_load_balance_experiment)
 from swarmpipe.client import FinetuneSession, Strategy
-from swarmpipe.model import (HiddenStates, KVCache, ModelConfig, block_backward,
+from swarmpipe.model import (KVCache, ModelConfig, block_backward,
                              init_model, params_hash, reference_beam,
                              reference_generate)
 from swarmpipe.netsim import NetProfile
@@ -277,7 +277,7 @@ def test_09_gradients_and_finetune():
         p = blocks[0]
         x = rng.standard_normal((4, 8)).astype(np.float32)
         gy = rng.standard_normal((4, 8)).astype(np.float32)
-        got = block_backward(p, HiddenStates(x), HiddenStates(gy), 2).data
+        got = block_backward(p, x, gy, 2)
 
         def loss(v):
             return float((gy.astype(np.float64) * forward_f64(p, v, 2)).sum())

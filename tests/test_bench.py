@@ -1,7 +1,6 @@
 """Benchmark harness: estimator values, record plumbing, determinism."""
 
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -10,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmpipe.bench import (ChurnStudySpec, ExperimentSpec, RunRecord,
+from swarmpipe.bench import (ChurnStudySpec, ExperimentSpec,
                              churn_records, estimate_offload_bound,
                              run_failure_rate_cell, run_load_balance_experiment,
                              write_records)
@@ -132,10 +131,3 @@ class TestRecordFiles:
             j, c = write_records(recs, str(tmp_path / f"r{run}.jsonl"))
             outs.append((Path(j).read_bytes(), Path(c).read_bytes()))
         assert outs[0] == outs[1]
-
-    def test_wall_time_not_serialized(self, tmp_path):
-        rec = RunRecord("x", 0, 0.0, 1, "s", 1.0, 1.0, 0, 0, 0, 0, True,
-                        wall_time_s=123.456)
-        j, _ = write_records([rec], str(tmp_path / "r.jsonl"))
-        row = json.loads(Path(j).read_text())
-        assert "wall_time_s" not in row

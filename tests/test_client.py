@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from swarmpipe import model as M
-from swarmpipe.client import MAX_REROUTES, Strategy
+from swarmpipe.client import MAX_REROUTES, Strategy, _Stage
 from swarmpipe.errors import SwarmUnavailableError
 from swarmpipe.model import ModelConfig, init_model, reference_generate
 from swarmpipe.netsim import ChurnSchedule, NetProfile
+from swarmpipe.router import Hop
 from swarmpipe.swarm import build_sim_swarm, build_swarm_from_config
 from swarmpipe.wire import Error, Forward, OpenSession, WireMessage
 
@@ -88,6 +89,49 @@ def test_client_builds_only_the_embedding(cfg, monkeypatch):
     client = swarm.client()
     assert roles == ["embedding"]
     assert client.engine.params.embedding.tobytes() == init_model(cfg)[1].embedding.tobytes()
+
+
+
+def _lineage_reference(log: list, width: int) -> np.ndarray | None:
+    """Each slot's input sequence composed from a log of the rows sent
+    ([width, n, d] arrays) and beam reorders (parent lists), walking back
+    from the ``width`` current slots; None when no rows were logged."""
+    anc = list(range(width))
+    collected: list[list[np.ndarray]] = [[] for _ in range(width)]
+    for item in reversed(log):
+        if isinstance(item, list):
+            anc = [item[a] for a in anc]
+        else:
+            for s in range(width):
+                collected[s].append(item[anc[s]])
+    if not collected[0]:
+        return None
+    return np.stack([np.concatenate(ch[::-1], axis=0) for ch in collected])
+
+
+def test_stage_history_matches_reorder_log_composition():
+    """A ``_Stage`` keeps its history in slot order; after any mix of rows
+    and reorders (widening from 1 to k, shrinking, cloning) it equals the
+    composition of the full log."""
+    d = 3
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        stage, log, width = _Stage(Hop("s", 0, 1, 0.0), 0), [], 1
+        for _ in range(rng.integers(1, 12)):
+            if rng.random() < 0.6:
+                n = int(rng.integers(1, 4))
+                rows = rng.standard_normal((width * n, d)).astype(np.float32)
+                stage.record(rows, width, n)
+                log.append(rows.reshape(width, n, d).copy())
+            else:
+                parents = rng.integers(0, width, int(rng.integers(1, 5))).tolist()
+                stage.reorder(parents)
+                log.append(parents)
+                width = len(parents)
+            got, want = stage.lineage(), _lineage_reference(log, width)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestRecovery:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmpipe.errors import CapacityError, ConfigurationError, StateDesyncError
-from swarmpipe.model import (BlockParams, HiddenStates, KVCache, ModelConfig, _ln,
-                             _ln_backward, block_backward, block_forward,
-                             block_forward_batched, init_model, parameter_count,
-                             params_hash, reference_beam, reference_generate)
+from swarmpipe.errors import CapacityError, ConfigurationError
+from swarmpipe.model import (BlockParams, KVCache, ModelConfig, _ln, _ln_backward,
+                             block_backward, block_forward_batched, init_model,
+                             parameter_count, params_hash, reference_beam,
+                             reference_generate)
 
 
 def _f64_params(p: BlockParams) -> dict:
@@ -90,22 +90,22 @@ class TestInit:
             ModelConfig(**kw)
 
 
+def _step(p: BlockParams, cache: KVCache, rows: np.ndarray) -> np.ndarray:
+    """Forward ``rows`` [n, d] after ``cache``'s history and append their K/V,
+    as the server and the oracles do."""
+    y, k_new, v_new = block_forward_batched(p, rows[None], cache.keys, cache.values)
+    cache.append(k_new, v_new)
+    return y[0]
+
+
 class TestForward:
     def test_single_token_shape(self, default_config):
         blocks, _ = init_model(default_config)
         cache = KVCache.empty(default_config)
         x = np.zeros((1, default_config.hidden_dim), np.float32)
-        out, delta = block_forward(blocks[0], HiddenStates(x, 0), cache)
-        assert out.data.shape == (1, default_config.hidden_dim)
-        assert delta.keys.shape[1] == 1
-
-    def test_position_mismatch_raises(self, default_config):
-        blocks, _ = init_model(default_config)
-        cache = KVCache.empty(default_config)
-        x = np.zeros((2, default_config.hidden_dim), np.float32)
-        cache.append(np.zeros((1, 2, 4, 16), np.float32), np.zeros((1, 2, 4, 16), np.float32))
-        with pytest.raises(StateDesyncError):
-            block_forward(blocks[0], HiddenStates(x, 3), cache)
+        out = _step(blocks[0], cache, x)
+        assert out.shape == (1, default_config.hidden_dim)
+        assert cache.length == 1
 
     def test_stepwise_equals_full(self, default_config, rng):
         blocks, _ = init_model(default_config)
@@ -115,11 +115,7 @@ class TestForward:
         full, _, _ = block_forward_batched(
             p, x[None], np.zeros((1, 0, 4, 16), np.float32), np.zeros((1, 0, 4, 16), np.float32))
         cache = KVCache.empty(default_config)
-        outs = []
-        for i in range(t):
-            y, delta = block_forward(p, HiddenStates(x[i:i + 1], i), cache)
-            cache.append(delta.keys, delta.values)
-            outs.append(y.data)
+        outs = [_step(p, cache, x[i:i + 1]) for i in range(t)]
         assert np.abs(np.concatenate(outs) - full[0]).max() < 1e-5
 
     @settings(max_examples=25, deadline=None)
@@ -135,9 +131,7 @@ class TestForward:
         cache = KVCache.empty(cfg)
         outs, at = [], 0
         for c in chunks:
-            y, delta = block_forward(p, HiddenStates(x[at:at + c], at), cache)
-            cache.append(delta.keys, delta.values)
-            outs.append(y.data)
+            outs.append(_step(p, cache, x[at:at + c]))
             at += c
         assert np.abs(np.concatenate(outs) - full[0]).max() < 1e-5
 
@@ -147,11 +141,10 @@ class TestForward:
         d = default_config.hidden_dim
         x = rng.standard_normal((8, d)).astype(np.float32)
         cache = KVCache.empty(default_config)
-        first, delta = block_forward(p, HiddenStates(x[:5], 0), cache)
-        frozen = first.data.copy()
-        cache.append(delta.keys, delta.values)
-        block_forward(p, HiddenStates(x[5:], 5), cache)
-        assert np.array_equal(first.data, frozen)
+        first = _step(p, cache, x[:5])
+        frozen = first.copy()
+        _step(p, cache, x[5:])
+        assert np.array_equal(first, frozen)
 
 
 def _ln_mean_var(x, g, b):
@@ -189,16 +182,15 @@ class TestBackward:
     def test_zero_grad_out(self, tiny_config, rng):
         blocks, _ = init_model(tiny_config)
         x = rng.standard_normal((4, 8)).astype(np.float32)
-        g = block_backward(blocks[0], HiddenStates(x), HiddenStates(np.zeros_like(x)),
-                           tiny_config.n_heads)
-        assert not g.data.any()
+        g = block_backward(blocks[0], x, np.zeros_like(x), tiny_config.n_heads)
+        assert not g.any()
 
     def test_params_untouched(self, tiny_config, rng):
         blocks, _ = init_model(tiny_config)
         before = params_hash(blocks)
         x = rng.standard_normal((4, 8)).astype(np.float32)
         gy = rng.standard_normal((4, 8)).astype(np.float32)
-        block_backward(blocks[0], HiddenStates(x), HiddenStates(gy), tiny_config.n_heads)
+        block_backward(blocks[0], x, gy, tiny_config.n_heads)
         assert params_hash(blocks) == before
 
     def test_matches_finite_differences(self, tiny_config):
@@ -212,7 +204,7 @@ class TestBackward:
             p = blocks[0]
             x = rng.standard_normal((4, 8)).astype(np.float32)
             gy = rng.standard_normal((4, 8)).astype(np.float32)
-            got = block_backward(p, HiddenStates(x), HiddenStates(gy), 2).data
+            got = block_backward(p, x, gy, 2)
 
             def loss(v):
                 return float((gy.astype(np.float64) * forward_f64(p, v, 2)).sum())

@@ -5,7 +5,7 @@ import pytest
 
 from swarmpipe.directory import DirectoryBoard
 from swarmpipe.errors import ConnectionFailed
-from swarmpipe.model import (HiddenStates, KVCache, ModelConfig, block_backward,
+from swarmpipe.model import (KVCache, ModelConfig, block_backward,
                              block_forward_batched, init_model, params_hash)
 from swarmpipe.netsim import NetProfile, SimNetwork
 from swarmpipe.server import (BlockServer, RealServerEngine, ServerCfg,
@@ -222,7 +222,7 @@ class TestTraining:
                 np.zeros((2, 0, 4, 16), np.float32))
         g = gy
         for bi, xin in zip(reversed(range(1, 4)), reversed(per_block)):
-            g = block_backward(blocks[bi], HiddenStates(xin), HiddenStates(g), 4).data
+            g = block_backward(blocks[bi], xin, g, 4)
         assert np.abs(got_y - y).max() < 1e-5
         assert np.abs(got_g - g).max() < 1e-5
         assert params_hash(srv.engine.blocks) == before
