@@ -17,9 +17,12 @@ differences are cost and failure behavior, which the counters expose.
 Dual-cache, restart and beam search run one decode loop (``_decode``); every
 step and beam reorder walks the stages through one recovery path (``_walk``).
 Every stage RPC but the decode loop's ``Step`` is one ``_call_stage``, and
-whether a failure bans its server is decided in ``_ban_if``. A ``_Stage`` is
-an open session with its history. Opening a chain, replacing a stage and
-repeating a cache-less step each give up after ``MAX_REROUTES`` failures.
+whether a failure bans its server is decided in ``_ban_if``. On the
+shape-only engine, ``_run_ahead`` books uninterrupted runs of those ``Step``
+RPCs in bulk (``SimNetwork.run_ahead``), with the same virtual outcome. A
+``_Stage`` is an open session with its history. Opening a chain, replacing a
+stage and repeating a cache-less step each give up after ``MAX_REROUTES``
+failures.
 """
 
 from __future__ import annotations
@@ -409,14 +412,16 @@ class SwarmClient:
         raise SwarmUnavailableError("replacements kept failing")
 
     def _walk(self, stages: list[_Stage], op, x, width: int, quantized: bool,
-              counters: RunCounters, deadline: float | None, recover: bool = True):
-        """Apply ``op(stage, x)`` to every stage in order, each result the
-        next stage's ``x``, and return the last result. ``width`` is the
-        stages' width before ``op``. A stage that fails is rebuilt in place
-        (``expired``/``desync``: a live server lost the session) or replaced
-        from its history, and ``op`` repeats there; ``stages`` is updated in
-        place. Without ``recover`` the failure propagates."""
-        idx = 0
+              counters: RunCounters, deadline: float | None, recover: bool = True,
+              first: int = 0):
+        """Apply ``op(stage, x)`` to every stage in order from ``first``,
+        each result the next stage's ``x``, and return the last result.
+        ``width`` is the stages' width before ``op``. A stage that fails is
+        rebuilt in place (``expired``/``desync``: a live server lost the
+        session) or replaced from its history, and ``op`` repeats there;
+        ``stages`` is updated in place. Without ``recover`` the failure
+        propagates."""
+        idx = first
         while idx < len(stages):
             self._check_deadline(deadline)
             stage = stages[idx]
@@ -447,8 +452,14 @@ class SwarmClient:
         next token of every slot; no reorder follows the last step, whose
         sessions close next. With ``recover`` every stage keeps its history,
         which charges ``CACHE_OVERHEAD_S`` per stage per step to the clock:
-        virtual time on the simulator, nothing on the TCP wall clock."""
+        virtual time on the simulator, nothing on the TCP wall clock.
+
+        On the shape-only engine over the simulator, single-row steps (width
+        1, one new position) go through ``_run_ahead`` first, which books
+        them in bulk up to the next interruption; the step it stopped at
+        goes on below from the stage it stopped at."""
         feed, width, n_in = list(prefix), 1, len(prefix)   # input tokens, slot-major
+        ahead = isinstance(self.engine, TimedClientEngine) and isinstance(self.net, SimNetwork)
 
         def step(stage, rows):      # reads the current width and n_in
             return self._step_stage(stage, rows, width, n_in, quantized, counters, recover)
@@ -458,9 +469,17 @@ class SwarmClient:
 
         stages = self._open_chain(quantized, deadline)
         try:
-            for i in range(n_new):
+            i = 0
+            while i < n_new:
+                first = 0
+                if ahead and width == n_in == 1:
+                    done, first = self._run_ahead(stages, n_new - i, choose, quantized,
+                                                  counters, deadline, recover)
+                    i += done
+                    if i == n_new:
+                        break
                 out = self._walk(stages, step, self.engine.embed_array(feed), width,
-                                 quantized, counters, deadline, recover)
+                                 quantized, counters, deadline, recover, first)
                 counters.per_step_bytes.append(width * n_in * self.config.hidden_dim * 4
                                                * len(stages))
                 if recover:
@@ -470,8 +489,32 @@ class SwarmClient:
                     self._walk(stages, reorder, parents, width, quantized, counters,
                                deadline, recover)
                 width, n_in = len(feed), 1
+                i += 1
         finally:
             self._close_stages(stages)
+
+    def _run_ahead(self, stages: list[_Stage], steps: int, choose, quantized: bool,
+                   counters: RunCounters, deadline: float | None, recover: bool):
+        """Book up to ``steps`` width-1 shape-only decode steps through
+        ``SimNetwork.run_ahead``, with what ``_step_stage`` and the decode
+        loop book per stage and per step. Returns (steps done, stages of the
+        next step done)."""
+        d = self.config.hidden_dim
+        calls = [(s.hop.server_id, WireMessage(Step(s.rows_sent, HiddenBlob.shape_only(
+                      1, d, self._request_quantized(s.hop, quantized)), 1, 1), s.session_id))
+                 for s in stages]
+        done, partial = self.net.run_ahead(
+            self.name, calls, CACHE_OVERHEAD_S * len(stages) if recover else 0.0, steps,
+            deadline)
+        sent = done * len(stages) + partial
+        counters.messages += sent
+        counters.step_activation_bytes += sent * d * 4
+        for at, stage in enumerate(stages):
+            stage.rows_sent += done + (at < partial)
+        for _ in range(done):
+            counters.per_step_bytes.append(d * 4 * len(stages))
+            choose(None)
+        return done, partial
 
     # -- public API -------------------------------------------------------------
 

@@ -35,13 +35,29 @@ message from it. A leg looks up only that context: it holds the sender's
 leg builds a ``(src, dst)`` key. The reply direction's stats are made on the
 first reply leg, so ``links`` lists exactly the links a message crossed or
 was lost on.
+
+Run-ahead
+---------
+On the shape-only engine a run of decode ``Step`` rounds between two
+interruptions is a fixed sequence, so ``run_ahead`` books it in one loop
+instead of one ``rpc`` per stage. It reads the legs' draws ahead in the same
+stream (same chunks, values and order), adds each leg's time, each stage's
+charge and the client's per-round charge to ``now`` one by one in the order
+and grouping ``rpc`` uses, and books what those legs would have booked: link
+stats, the servers' sessions and counts. It stops before a drop, a lapsed
+session, a message a server's per-message rule acts on, and any clock
+advance that would reach the next agenda entry, the deadline or the end of
+an endpoint's online interval; ``rpc`` serves that step. So every rule fires
+at the same message and virtual time either way.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Callable, Iterator, Protocol
 
 import numpy as np
@@ -94,9 +110,17 @@ class ChurnSchedule:
         object.__setattr__(self, "intervals", intervals)
 
     def online(self, t: float) -> bool:
+        return self.online_until(t) > t
+
+    def online_until(self, t: float) -> float:
+        """The end of the online interval that holds ``t`` (inf for an
+        empty schedule); ``t`` itself when offline at ``t``."""
         if not self.intervals:
-            return True
-        return any(on <= t < off for on, off in self.intervals)
+            return math.inf
+        for on, off in self.intervals:
+            if on <= t < off:
+                return off
+        return t
 
 
 class VirtualClock:
@@ -123,6 +147,10 @@ class VirtualClock:
 
     def advance(self, dt: float) -> None:
         self.advance_to(self.now + dt)
+
+    def next_due(self) -> float:
+        """When the next agenda entry is due (inf: none)."""
+        return self._agenda[0][0] if self._agenda else math.inf
 
     def charge(self, dt: float) -> None:
         """Spend modelled work time (compute, bookkeeping). On virtual time
@@ -185,11 +213,59 @@ class _Endpoint:
     def online(self, t: float) -> bool:
         return not self.crashed and (self.always_on or self.churn.online(t))
 
+    def leg_s(self, nbytes: int) -> float:
+        """A delivered leg's time: one way plus transfer, as one sum (added
+        to ``now`` in another grouping, it moves virtual time in the last
+        bits)."""
+        return self.one_way_s + nbytes * 8.0 / self.profile.bandwidth_bps
 
-def _uniforms(rng: np.random.Generator) -> Iterator[float]:
-    """``rng``'s uniform stream, fetched DROP_DRAWS values at a time."""
-    while True:
-        yield from rng.random(DROP_DRAWS).tolist()
+
+class _DropStream:
+    """The uniform stream of one PCG64 generator, fetched ``DROP_DRAWS``
+    values at a time. ``draw`` takes the next value. The run-ahead reads
+    values without taking them (``peek``, then ``more`` for each further
+    chunk) and then takes as many as it used (``skip``)."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._chunk: list[float] = []
+        self._it = iter(self._chunk)       # the next value of the current chunk
+        self._ahead: list[list[float]] = []   # chunks ``more`` fetched, in order
+        self.draw = self._values().__next__
+
+    def _values(self) -> Iterator[float]:
+        while True:
+            it = self._it
+            yield from it
+            if self._it is it:    # ``skip`` may have moved on already
+                self._next_chunk()
+
+    def _next_chunk(self) -> None:
+        self._chunk = (self._ahead.pop(0) if self._ahead
+                       else self._rng.random(DROP_DRAWS).tolist())
+        self._it = iter(self._chunk)
+
+    def peek(self) -> list[float]:
+        """Every value fetched and not taken yet: the rest of the current
+        chunk and the chunks ``more`` fetched."""
+        return self._chunk[len(self._chunk) - length_hint(self._it):] + [
+            u for chunk in self._ahead for u in chunk]
+
+    def more(self) -> list[float]:
+        """The next chunk after every value fetched, not taken."""
+        chunk = self._rng.random(DROP_DRAWS).tolist()
+        self._ahead.append(chunk)
+        return chunk
+
+    def skip(self, k: int) -> None:
+        """Take the next ``k`` values."""
+        left = length_hint(self._it)
+        while k > left:
+            next(itertools.islice(self._it, left, left), None)
+            k -= left
+            self._next_chunk()
+            left = len(self._chunk)
+        next(itertools.islice(self._it, k, k), None)
 
 
 class SimNetwork:
@@ -199,7 +275,8 @@ class SimNetwork:
                  trace: bool = False):
         self.clock = VirtualClock()
         self.default_profile = default_profile or NetProfile()
-        self._draw = _uniforms(np.random.Generator(np.random.PCG64(seed))).__next__
+        self._drops = _DropStream(seed)
+        self._draw = self._drops.draw
         self._endpoints: dict[str, _Endpoint] = {}
         self.links: dict[tuple[str, str], LinkStats] = {}
         self.trace_enabled = trace
@@ -297,7 +374,6 @@ class SimNetwork:
                 self._record("conn_fail", src, dst, msg)
             raise ConnectionFailed(f"{dst} is offline")
         profile = ep.profile
-        bandwidth_bps = profile.bandwidth_bps
         ctx = ep.contexts.get(src) or self._new_context(ep, src, dst)
 
         # request leg
@@ -312,9 +388,7 @@ class SimNetwork:
         st.bytes += req_bytes
         if self.trace_enabled:
             self._record("send", src, dst, msg, req_bytes)
-        # a leg adds (one way + transfer) to now, as one sum: regrouping it
-        # moves virtual time in the last bits
-        clock.advance_to(clock.now + (ep.one_way_s + req_bytes * 8.0 / bandwidth_bps))
+        clock.advance_to(clock.now + ep.leg_s(req_bytes))
 
         # handler compute (may advance the clock via ctx.consume)
         try:
@@ -342,8 +416,87 @@ class SimNetwork:
         st.bytes += rep_bytes
         if self.trace_enabled:
             self._record("send", dst, src, reply, rep_bytes)
-        clock.advance_to(clock.now + (ep.one_way_s + rep_bytes * 8.0 / bandwidth_bps))
+        clock.advance_to(clock.now + ep.leg_s(rep_bytes))
         return reply
+
+    def run_ahead(self, src: str, calls: list[tuple[str, WireMessage]], round_s: float,
+                  rounds: int, deadline: float | None) -> tuple[int, int]:
+        """Book up to ``rounds`` rounds of ``calls`` up to the next
+        interruption, as ``rpc`` would: a round sends each ``(dst, Step)`` in
+        order, then charges the sender's ``round_s`` (0 for none). Returns
+        (rounds booked whole, calls of the next round booked; ``len(calls)``
+        when only its charge is left). Books nothing unless every ``dst`` is
+        a handler with ``step_lease`` and no per-instance ``handle``, each
+        once, and tracing is off."""
+        if self.trace_enabled or len({dst for dst, _ in calls}) < len(calls):
+            return 0, 0
+        clock = self.clock
+        t = clock.now
+        limit = clock.next_due() if deadline is None else min(clock.next_due(), deadline)
+        stages = []    # per call: endpoint, session, request and reply bytes
+        timing = []    # per call: drop p, request leg, compute, reply leg, TTL
+        for dst, msg in calls:
+            ep = self._endpoints.get(dst)
+            lease = getattr(ep and ep.handler, "step_lease", None)
+            if lease is None or "handle" in vars(ep.handler):
+                return 0, 0
+            arrive = t + ep.one_way_s
+            if not ep.online(arrive):
+                return 0, 0
+            run = lease(msg.session_id, msg.payload)
+            if run is None:
+                return 0, 0
+            session, reply, charge_s, ttl_s, most = run
+            rounds = min(rounds, most)
+            if not ep.always_on:
+                limit = min(limit, ep.churn.online_until(arrive))
+            nq, nr = framed_nbytes(msg), framed_nbytes(reply)
+            stages.append((ep, dst, session, nq, nr))
+            timing.append((ep.drop_p, ep.leg_s(nq), charge_s, ep.leg_s(nr), ttl_s))
+
+        # per call, as ``rpc`` and ``_step`` go: the request's draw and the
+        # reply's, request leg, TTL check, compute, reply leg
+        last = [session.last_activity for _, _, session, _, _ in stages]
+        draws = self._drops.peek()
+        n, i, done, j, have = len(calls), 0, 0, 0, len(draws)
+        while done < rounds:
+            p, req_s, charge_s, rep_s, ttl_s = timing[j]
+            if i + 2 > have:
+                draws += self._drops.more()
+                have = len(draws)
+            if draws[i] < p or draws[i + 1] < p:
+                break
+            a = t + req_s
+            if a - last[j] > ttl_s:
+                break
+            b = a + charge_s
+            c = b + rep_s
+            if c >= limit:
+                break
+            last[j], t, i, j = b, c, i + 2, j + 1
+            if j == n:
+                c = t + round_s
+                if c >= limit:
+                    break
+                t, j, done = c, 0, done + 1
+        if not i:
+            return 0, 0
+
+        self._drops.skip(i)
+        clock.advance_to(t)          # no agenda entry is due by t
+        for at, (ep, dst, session, nq, nr) in enumerate(stages):
+            k = done + (at < j)
+            if not k:
+                continue
+            ctx = ep.contexts.get(src) or self._new_context(ep, src, dst)
+            ctx.up.messages += k
+            ctx.up.bytes += k * nq
+            if ctx.down is None:
+                ctx.down = self._link(dst, src)
+            ctx.down.messages += k
+            ctx.down.bytes += k * nr
+            ep.handler.book_steps(session, k, last[at])
+        return done, j
 
     def ping(self, src: str, dst: str) -> float:
         """Measured round-trip time in milliseconds. Pings ride a measurement

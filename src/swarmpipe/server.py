@@ -16,6 +16,12 @@ passes (prefill, restore, stateless forward) add ``BATCH_S_PER_ROW`` per row
 per block; backward costs twice its forward. Both engines reply to a
 stateless forward in the encoding the request asks for, so their wire bytes
 match too.
+
+A ``Step`` is refused by the rules in ``_step_refusal``, written once. On the
+shape-only engine ``step_lease`` and ``book_steps`` let the simulator book a
+run of single-row Steps in bulk (``SimNetwork.run_ahead``): the lease checks
+the run's first Step by those rules and bounds the run before the next
+message a per-message rule of ``handle`` acts on.
 """
 
 from __future__ import annotations
@@ -153,8 +159,16 @@ class TimedServerEngine:
 
     def run_cached(self, start: int, end: int, caches: _TimedCaches,
                    blob: HiddenBlob, width: int, n_new: int, quantized: bool) -> HiddenBlob:
+        self.extend(caches, n_new)
+        return self.output(width * n_new, quantized)
+
+    def extend(self, caches: _TimedCaches, n_new: int) -> None:
+        """Grow the caches by ``n_new`` positions."""
         caches.length += n_new
-        return HiddenBlob.shape_only(width * n_new, self.config.hidden_dim, quantized)
+
+    def output(self, rows: int, quantized: bool) -> HiddenBlob:
+        """What a cached pass over ``rows`` rows answers."""
+        return HiddenBlob.shape_only(rows, self.config.hidden_dim, quantized)
 
     def reorder(self, caches: _TimedCaches, parents_zero_based: list[int]) -> None:
         if parents_zero_based and max(parents_zero_based) >= caches.width:
@@ -355,8 +369,9 @@ class BlockServer:
             self.net.clock.now)
         return WireMessage(Pong())
 
-    def _step(self, sid: int, p: Step, ctx: HandlerContext) -> WireMessage:
-        s = self._session(sid)
+    def _step_refusal(self, s: SessionState | None, p: Step) -> WireMessage | None:
+        """The refusal of ``p`` on session ``s`` (None: no such session), or
+        None when it may step."""
         if s is None:
             return WireMessage(Error("expired", "no such session"))
         if s.desynced:
@@ -372,6 +387,14 @@ class BlockServer:
         rows = p.width * p.n_new
         if p.blob.rows != rows or p.blob.cols != config.hidden_dim:
             return self._misshaped(p.blob, rows)
+        return None
+
+    def _step(self, sid: int, p: Step, ctx: HandlerContext) -> WireMessage:
+        s = self._session(sid)
+        refusal = self._step_refusal(s, p)
+        if refusal is not None:
+            return refusal
+        rows = p.width * p.n_new
         # a stage holds at least one block, so this is positive: what
         # ``ctx.consume`` would charge
         ctx.net.clock.charge(self.cfg.stage_seconds(s.end - s.start, rows, p.n_new == 1))
@@ -383,6 +406,40 @@ class BlockServer:
             return WireMessage(Error("desync", "cache length diverged"))
         s.last_activity = self.net.clock.now
         return WireMessage(StepResult(out))
+
+    # -- the run-ahead's view of ``_step`` (see ``SimNetwork.run_ahead``) ----
+
+    def step_lease(self, sid: int, p: Step):
+        """A lease on a run of single-position Steps like ``p`` to session
+        ``sid``, each at the next position: (session, reply, seconds each
+        step charges, session TTL, most steps no rule of ``handle`` or
+        ``_step`` interrupts). None when the next Step must go through
+        ``handle``: an engine that computes, a refusal, or a rule due at it.
+        ``_step`` refuses none of the run's later steps, since each moves the
+        step's offset and the session's positions together; the caller
+        checks the TTL at each step's arrival."""
+        s = self.sessions.get(sid)
+        if (p.n_new != 1 or not isinstance(self.engine, TimedServerEngine)
+                or self._step_refusal(s, p) is not None
+                or self.engine.cache_length(s.caches) != s.positions):
+            return None
+        # handle purges at every 256th message and crashes past crash_after_messages
+        most = min(255 - self.handled % 256, self.engine.config.max_seq_len - s.positions)
+        if self.cfg.crash_after_messages is not None:
+            most = min(most, self.cfg.crash_after_messages - self.handled)
+        if most < 1:
+            return None
+        reply = WireMessage(StepResult(self.engine.output(p.width, s.quantized)))
+        return (s, reply, self.cfg.stage_seconds(s.end - s.start, p.width, True),
+                self.cfg.session_ttl_s, most)
+
+    def book_steps(self, s: SessionState, k: int, last_activity: float) -> None:
+        """Book ``k`` steps of a ``step_lease``, the last one's compute
+        ending at ``last_activity``, as ``handle`` and ``_step`` would."""
+        self.handled += k
+        self.engine.extend(s.caches, k)
+        s.positions += k
+        s.last_activity = last_activity
 
     def _restore(self, sid: int, p: Restore, ctx: HandlerContext) -> WireMessage:
         s = self._session(sid)

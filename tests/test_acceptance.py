@@ -1,10 +1,13 @@
-"""Acceptance suite: the eleven gate criteria, one test each.
+"""Acceptance suite: the eleven gate criteria, one test each, and a pin of
+the failure-rate grid's record files.
 
 Every test prints one machine-greppable verdict line. Tolerances are pinned
 here, not configurable. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ import pytest
 from swarmpipe.balancer import (choose_start, greedy_swarm_assignment,
                                 optimal_assignment_bruteforce)
 from swarmpipe.bench import (ChurnStudySpec, ExperimentSpec, estimate_offload_bound,
-                             run_failure_rate_cell, run_load_balance_experiment)
+                             run_failure_rate_cell, run_load_balance_experiment,
+                             write_records)
 from swarmpipe.client import FinetuneSession, Strategy
 from swarmpipe.model import (KVCache, ModelConfig, block_backward,
                              init_model, params_hash, reference_beam,
@@ -95,6 +99,17 @@ def test_02_failure_rate_patterns(failure_grid):
              f"cacheless spread {max(spreads):.2%} < 2%; restart(1e-2,1024) "
              f"incomplete={b_ok}; dual completes 15/15 and is strictly between "
              f"baselines at p=0")
+
+
+def test_02_grid_files_are_pinned(failure_grid, tmp_path):
+    """The seed-0 grid's record files, byte for byte. Its long restart cells
+    deal thousands of drops, so this pin shows how a long run's drops fall,
+    which the 64-step golden cells cannot."""
+    _, cells = failure_grid
+    jsonl, csv_path = write_records(list(cells.values()), str(tmp_path / "grid.jsonl"))
+    digests = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (jsonl, csv_path)]
+    assert digests == ["56f3586e4f78ce9e1ec0947f0abb606a1386f72beef878ee3f8a9e5daadcccca",
+                       "b7808da331b327604ef6539673912743e869ade723699574d0b5ee45df84b2a8"]
 
 
 # -------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Generation strategies: oracle equality, recovery, communication accounting."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from swarmpipe import model as M
 from swarmpipe.client import MAX_REROUTES, Strategy, _Stage
-from swarmpipe.errors import SwarmUnavailableError
+from swarmpipe.errors import BudgetExhausted, SwarmUnavailableError
 from swarmpipe.model import ModelConfig, init_model, reference_generate
 from swarmpipe.netsim import ChurnSchedule, NetProfile
 from swarmpipe.router import Hop
 from swarmpipe.swarm import build_sim_swarm, build_swarm_from_config
-from swarmpipe.wire import Error, Forward, OpenSession, WireMessage
+from swarmpipe.wire import Error, Forward, HiddenBlob, OpenSession, Step, WireMessage
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +280,63 @@ class TestRecovery:
         assert res.counters.retries + res.counters.recoveries >= 1
 
 
+def _engine_fingerprint(cfg, engine: str, swarm_kw: dict, gen_kw: dict, n_new: int):
+    """Everything a run shows of its virtual outcome: the elapsed time (or
+    the error raised) and every ``RunCounters`` field, the clock, each
+    link's (messages, bytes, drops), and each server's message count and
+    open sessions."""
+    swarm = build_sim_swarm(cfg, engine=engine, **swarm_kw)
+    try:
+        res = swarm.client().generate([5, 6, 7], n_new, **gen_kw)
+        outcome = ("done", res.elapsed_s.hex(), asdict(res.counters))
+    except (BudgetExhausted, SwarmUnavailableError) as e:
+        outcome = (type(e).__name__, str(e), asdict(e.counters))
+    links = sorted((k, (s.messages, s.bytes, s.drops)) for k, s in swarm.net.links.items())
+    servers = [(srv.handled, sorted((sid, s.positions, s.last_activity.hex())
+                                    for sid, s in srv.sessions.items()))
+               for srv in swarm.server_list()]
+    return outcome, swarm.net.clock.now.hex(), links, servers
+
+
+# (swarm keywords, generate keywords, tokens) by case id: 8 clean tokens on
+# each strategy, 64 at p = 1e-2, then runs of steps broken mid-generation by
+# each rule of the simulator or the server
+_ONE_STAGE = dict(seed=3, replicas=1)
+_ENGINE_CASES = {
+    **{f"{s}-{q}": (dict(seed=1), dict(strategy=s, quantized=q), 8)
+       for q in (False, True) for s in Strategy},
+    **{f"drops-{seed}-{s.value}": (dict(seed=seed, profile=NetProfile(failure_prob=1e-2)),
+                                   dict(strategy=s), 64)
+       for seed in (1, 2) for s in Strategy},
+    "deadline-restart": (dict(seed=1), dict(strategy=Strategy.RESTART, deadline_s=3.0), 64),
+    "deadline-dual": (dict(seed=1, profile=NetProfile(failure_prob=1e-2)),
+                      dict(strategy=Strategy.DUAL_CACHE, deadline_s=4.0), 64),
+    "ttl-dual": (dict(_ONE_STAGE, server_overrides={"s2a": {"session_ttl_s": 0.05}}),
+                 dict(strategy=Strategy.DUAL_CACHE), 64),
+    "ttl-restart": (dict(_ONE_STAGE, server_overrides={"s1a": {"session_ttl_s": 0.05}}),
+                    dict(strategy=Strategy.RESTART, deadline_s=20.0), 64),
+    "crash-dual": (dict(seed=1, server_overrides={"s2a": {"crash_after_messages": 30}}),
+                   dict(strategy=Strategy.DUAL_CACHE), 64),
+    "crash-restart": (dict(seed=1, server_overrides={"s1a": {"crash_after_messages": 30},
+                                                     "s1b": {"crash_after_messages": 30}}),
+                      dict(strategy=Strategy.RESTART), 64),
+    "churn-dual": (dict(seed=1, churn={"s1a": ChurnSchedule(((0.0, 2.5), (4.0, 1e9))),
+                                       "s1b": ChurnSchedule(((0.0, 2.5), (4.0, 1e9)))}),
+                   dict(strategy=Strategy.DUAL_CACHE), 64),
+    "churn-restart": (dict(seed=1, churn={"s2a": ChurnSchedule(((0.0, 3.0),)),
+                                          "s2b": ChurnSchedule(((0.0, 3.0), (5.0, 1e9)))}),
+                      dict(strategy=Strategy.RESTART), 64),
+    "balancer": (dict(seed=1, n_stages=2, balancer=True, compute_tokens_per_s=4.0,
+                      server_overrides={"s1b": {"compute_tokens_per_s": 1000.0}},
+                      profile=NetProfile(failure_prob=1e-3)),
+                 dict(strategy=Strategy.DUAL_CACHE), 96),
+    # abandoned sessions lapse after 2 s; each server's 256th message purges them
+    "purge": (dict(_ONE_STAGE, profile=NetProfile(failure_prob=1e-2),
+                   server_overrides={f"s{i}a": {"session_ttl_s": 2.0} for i in range(4)}),
+              dict(strategy=Strategy.DUAL_CACHE), 300),
+}
+
+
 class TestCommunicationAccounting:
     def test_dual_cache_per_step_bytes_constant(self, cfg):
         swarm = build_sim_swarm(cfg, seed=0, engine="timed")
@@ -305,16 +364,32 @@ class TestCommunicationAccounting:
         expect = (4 + 49) * cfg.hidden_dim * 4 * 4
         assert res.counters.step_activation_bytes == expect
 
-    @pytest.mark.parametrize("quantized", [False, True])
-    @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_timed_engine_matches_real_bytes_and_time(self, cfg, strategy, quantized):
-        runs = []
-        for engine in ("real", "timed"):
-            swarm = build_sim_swarm(cfg, seed=1, engine=engine)
-            res = swarm.client().generate([5, 6, 7], 8, strategy=strategy,
-                                          quantized=quantized)
-            runs.append((swarm.net.total_bytes(), res.elapsed_s))
-        assert runs[0] == runs[1]
+    @pytest.mark.parametrize("case", list(_ENGINE_CASES))
+    def test_timed_engine_matches_real_bytes_and_time(self, cfg, case):
+        """The shape-only engine books uninterrupted runs of decode steps in
+        bulk, and every interruption on the ordinary path; the real engine
+        never runs ahead. Both give the same virtual outcome."""
+        swarm_kw, gen_kw, n_new = _ENGINE_CASES[case]
+        real = _engine_fingerprint(cfg, "real", swarm_kw, gen_kw, n_new)
+        timed = _engine_fingerprint(cfg, "timed", swarm_kw, gen_kw, n_new)
+        assert real == timed
+
+
+def test_run_ahead_stops_before_max_seq_len():
+    """A run of Steps ends where the next one would pass ``max_seq_len``;
+    that one goes through ``rpc`` and is refused."""
+    cfg = ModelConfig(max_seq_len=20)
+    swarm = build_sim_swarm(cfg, engine="timed", replicas=1)
+    client = swarm.client()
+    stages = client._open_chain(False, None)
+    blob = HiddenBlob.shape_only(1, cfg.hidden_dim)
+
+    def calls(position):
+        return [(s.hop.server_id, WireMessage(Step(position, blob, 1, 1), s.session_id))
+                for s in stages]
+    assert swarm.net.run_ahead(client.name, calls(0), 0.0, 100, None) == (20, 0)
+    for dst, msg in calls(20):
+        assert swarm.net.rpc(client.name, dst, msg).payload.code == "capacity"
 
 
 class TestQuantizedMode:

@@ -169,13 +169,30 @@ class TestDropStream:
         return "reply" if draw() < p else "ok"
 
     def test_matches_scalar_draws(self):
+        """Sends draw the scalar stream's values in order, past two refills.
+        With look-ahead ``k`` > 0 the run-ahead's reads go in between: peek
+        ``k`` values (the rest of the current chunk, then further chunks),
+        take ``k`` or half of them, and every later draw stays where the
+        scalar stream has it."""
         p, seed = 0.5, 11
-        net, _ = _net(p=p, seed=seed)
-        draw = np.random.Generator(np.random.PCG64(seed)).random
-        n = 3 * DROP_DRAWS     # at least 1.5 draws a send: past two refills
-        got = [self._send(net, i, "srv") for i in range(n)]
-        assert got == [self._reference(draw, i, p) for i in range(n)]
-        assert {"ok", "request", "reply"} <= set(got)
+        for k in (0, 1, 7, DROP_DRAWS - 1, DROP_DRAWS, DROP_DRAWS + 3):
+            net, _ = _net(p=p, seed=seed)
+            draw = np.random.Generator(np.random.PCG64(seed)).random
+            stream = net._drops
+            got, want = [], []
+            for i in range(3 * DROP_DRAWS):      # at least 1.5 draws a send
+                if k and i % 3 == 0:
+                    ahead = stream.peek()
+                    while len(ahead) < k:
+                        ahead += stream.more()
+                    assert stream.peek()[:k] == ahead[:k]     # peeking took nothing
+                    use = k if i % 2 else k // 2               # some peeked values stay
+                    assert ahead[:use] == [draw() for _ in range(use)]
+                    stream.skip(use)
+                got.append(self._send(net, i, "srv"))
+                want.append(self._reference(draw, i, p))
+            assert got == want, f"look-ahead {k}"
+            assert {"ok", "request", "reply"} <= set(got)
 
     def test_zero_override_still_draws(self):
         """A leg to a p = 0 endpoint takes its draw, so the drops of the
