@@ -16,10 +16,10 @@ All strategies produce the same tokens as the single-process oracle; the
 differences are cost and failure behavior, which the counters expose.
 Dual-cache, restart and beam search run one decode loop (``_decode``); every
 step and beam reorder walks the stages through one recovery path (``_walk``).
-Every stage RPC but the decode loop's ``Step`` is one ``_call_stage``, and
-whether a failure bans its server is decided in ``_ban_if``. On the
-shape-only engine, ``_run_ahead`` books uninterrupted runs of those ``Step``
-RPCs in bulk (``SimNetwork.run_ahead``), with the same virtual outcome. A
+Every stage RPC is one ``_call_stage``, and whether a failure bans its
+server is decided in ``_ban_if``. On the shape-only engine, ``_run_ahead``
+books uninterrupted runs of the decode loop's ``Step`` RPCs in bulk
+(``SimNetwork.run_ahead``), with the same virtual outcome. A
 ``_Stage`` is an open session with its history. Opening a chain, replacing a
 stage and repeating a cache-less step each give up after ``MAX_REROUTES``
 failures.
@@ -44,6 +44,7 @@ from .wire import (Backward, Close, Error, Forward, HiddenBlob, OpenSession,
                    Reorder, Restore, Step, StepResult, WireMessage)
 
 MAX_REROUTES = 10          # routing attempts before a chain counts as unavailable
+REROUTE_BACKOFF_S = 2.0    # virtual seconds a client waits when no chain exists
 CACHE_OVERHEAD_S = 0.005   # client bookkeeping per stage per step that keeps history
 MAX_PASS_RETRIES = 50      # fine-tune passes tried before giving up
 
@@ -94,21 +95,6 @@ class _StageFailure(Exception):
         self.server_id = server_id
         self.ban = ban              # False: a live server lost state; rebuild or repeat there
         self.dropped = dropped      # a lost message: the server may well be alive
-
-    @classmethod
-    def lost(cls, server_id: str, e: MessageDropped | ConnectionFailed) -> "_StageFailure":
-        """A stage RPC that got no reply."""
-        return cls(server_id, ban=True, reason=str(e), dropped=isinstance(e, MessageDropped))
-
-
-def _refused(server_id: str, err: Error) -> Exception:
-    """What a stage's ``Error`` reply raises in the client."""
-    if err.code in ("expired", "desync", "no_record"):
-        # a live server lost the state: rebuild it or repeat the pass there
-        return _StageFailure(server_id, ban=False, reason=err.code)
-    if err.code == "capacity":
-        return CapacityError(err.detail)
-    return _StageFailure(server_id, ban=True, reason=err.code)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +175,14 @@ class _Stage:
 
 class SwarmClient:
     def __init__(self, name: str, config: M.ModelConfig, net: SimNetwork,
-                 directory: DirectoryBoard, engine=None,
-                 ban_cooldown_s: float = 15.0, reroute_backoff_s: float = 2.0):
+                 directory: DirectoryBoard, engine=None):
         self.name = name
         self.config = config
         self.net = net
         self.directory = directory
         self.engine = engine or RealClientEngine(config)
         self.graph = RoutingGraph(config.n_blocks)
-        self.bans = BanList(lambda: net.clock.now, ban_cooldown_s)
-        self.reroute_backoff_s = reroute_backoff_s
+        self.bans = BanList(lambda: net.clock.now)
         self._sid_counter = 0
         self._sid_base = M._splitmix64(zlib.crc32(name.encode()), 1)[0].item() << 64
 
@@ -229,16 +213,24 @@ class SwarmClient:
         self.graph.sync(routes)
 
     def _call_stage(self, server_id: str, session_id: int, payload):
-        """One stage RPC with failures mapped to ``_StageFailure``. The decode
-        loop's ``Step``, one per stage per token, is sent inline by
-        ``_step_stage`` instead, to keep that hot path in one frame."""
+        """One stage RPC; returns the reply's payload. A message that got no
+        reply raises a banning ``_StageFailure``. An ``Error`` reply raises
+        what its code means: ``capacity`` a ``CapacityError``; ``expired``,
+        ``desync`` and ``no_record`` (a live server lost the state: rebuild
+        it or repeat the pass there) a ``_StageFailure`` without a ban; any
+        other code a banning one."""
         try:
             reply = self.net.rpc(self.name, server_id, WireMessage(payload, session_id))
         except (MessageDropped, ConnectionFailed) as e:
-            raise _StageFailure.lost(server_id, e)
-        if isinstance(reply.payload, Error):
-            raise _refused(server_id, reply.payload)
-        return reply.payload
+            raise _StageFailure(server_id, ban=True, reason=str(e),
+                                dropped=isinstance(e, MessageDropped))
+        res = reply.payload
+        if isinstance(res, Error):
+            if res.code == "capacity":
+                raise CapacityError(res.detail)
+            lost_state = res.code in ("expired", "desync", "no_record")
+            raise _StageFailure(server_id, ban=not lost_state, reason=res.code)
+        return res
 
     def _ban_if(self, f: _StageFailure) -> None:
         """Ban the failed server unless it is alive and only lost state."""
@@ -265,7 +257,7 @@ class SwarmClient:
             try:
                 return self.graph.find_best_chain(start, end)
             except NoRouteError:
-                self.clock.advance(self.reroute_backoff_s)
+                self.clock.advance(REROUTE_BACKOFF_S)
         raise SwarmUnavailableError(f"no chain for [{start}, {end}) after "
                                     f"{MAX_REROUTES} reroutes")
 
@@ -348,31 +340,18 @@ class SwarmClient:
     def _step_stage(self, stage: _Stage, rows: np.ndarray | None, width: int, n_new: int,
                     quantized: bool, counters: RunCounters, record: bool):
         """Send ``stage`` its next ``Step`` and return the rows it answers
-        (None on the timed engine). The decode loop's one RPC per stage per
-        token: ``_call_stage``, ``_blob_from_rows`` and ``_result_rows``
-        worked out inline."""
+        (None on the timed engine)."""
         hop = stage.hop
-        d = self.config.hidden_dim
-        n = width * n_new
         wire_q = self._request_quantized(hop, quantized)
-        blob = (HiddenBlob.shape_only(n, d, wire_q) if rows is None
-                else HiddenBlob.from_array(rows.reshape(n, -1), wire_q))
-        try:
-            reply = self.net.rpc(self.name, hop.server_id, WireMessage(
-                Step(stage.rows_sent, blob, width, n_new), stage.session_id))
-        except (MessageDropped, ConnectionFailed) as e:
-            raise _StageFailure.lost(hop.server_id, e)
-        res = reply.payload
-        if isinstance(res, Error):
-            raise _refused(hop.server_id, res)
+        blob = self._blob_from_rows(rows, width, n_new, wire_q)
+        res = self._call_stage(hop.server_id, stage.session_id,
+                               Step(stage.rows_sent, blob, width, n_new))
         counters.messages += 1
-        counters.step_activation_bytes += n * d * 4
+        counters.step_activation_bytes += width * n_new * self.config.hidden_dim * 4
         if record and rows is not None:
             stage.record(rows, width, n_new)
         stage.rows_sent += n_new
-        if res.blob.synthetic:
-            return None
-        return res.blob.array().reshape(width, n_new, d)
+        return self._result_rows(res, width, n_new)
 
     def _reorder_stage(self, stage: _Stage, parents0: list[int], counters: RunCounters):
         self._call_stage(stage.hop.server_id, stage.session_id,
@@ -500,9 +479,11 @@ class SwarmClient:
         loop book per stage and per step. Returns (steps done, stages of the
         next step done)."""
         d = self.config.hidden_dim
-        calls = [(s.hop.server_id, WireMessage(Step(s.rows_sent, HiddenBlob.shape_only(
-                      1, d, self._request_quantized(s.hop, quantized)), 1, 1), s.session_id))
-                 for s in stages]
+        calls = []
+        for s in stages:
+            blob = self._blob_from_rows(None, 1, 1, self._request_quantized(s.hop, quantized))
+            calls.append((s.hop.server_id, WireMessage(Step(s.rows_sent, blob, 1, 1),
+                                                       s.session_id)))
         done, partial = self.net.run_ahead(
             self.name, calls, CACHE_OVERHEAD_S * len(stages) if recover else 0.0, steps,
             deadline)
@@ -595,19 +576,15 @@ class SwarmClient:
         tokens, choose = chooser()
         run_sid = self._new_sid()
         for step in range(n_new):
-            emb = self.engine.embed_array(tokens)
-            rows = emb.reshape(len(tokens), -1) if emb is not None else None
+            rows = self.engine.embed_array(tokens)
             t = len(tokens)
             for _ in range(MAX_REROUTES):   # the whole step repeats on a new chain
                 self._check_deadline(deadline)
                 try:
                     current = rows
                     for si, hop in enumerate(chain.hops):
-                        wire_q = self._request_quantized(hop, quantized)
-                        blob = (HiddenBlob.from_array(current, wire_q)
-                                if current is not None
-                                else HiddenBlob.shape_only(t, self.config.hidden_dim,
-                                                           wire_q))
+                        blob = self._blob_from_rows(current, 1, t,
+                                                    self._request_quantized(hop, quantized))
                         fwd = Forward(step * 4096 + si, blob, 1, t, hop.start, hop.end,
                                       quantize_reply=self._reply_quantized(hop, quantized))
                         while True:
@@ -621,7 +598,7 @@ class SwarmClient:
                                 counters.retries += 1   # same server, same req_id
                         counters.messages += 1
                         counters.step_activation_bytes += t * self.config.hidden_dim * 4
-                        current = (res.blob.array() if not res.blob.synthetic else None)
+                        current = self._result_rows(res, 1, t)
                     break
                 except _StageFailure as f:
                     self._ban_if(f)
@@ -631,7 +608,7 @@ class SwarmClient:
                 raise SwarmUnavailableError(f"step {step} failed on {MAX_REROUTES} chains")
             counters.per_step_bytes.append(t * self.config.hidden_dim * 4
                                            * len(chain.hops))
-            choose(current[None] if current is not None else None)
+            choose(current)
         return tokens
 
     # -- beam search ------------------------------------------------------------
@@ -738,10 +715,10 @@ class FinetuneSession:
 
         h = x
         for hop in chain.hops:
-            blob = HiddenBlob.from_array(h.reshape(B * (P + T), d))
+            blob = client._blob_from_rows(h, B, P + T, False)
             reply = self._training_rpc(hop, Forward(req_id, blob, B, P + T, hop.start,
                                                     hop.end, record=True))
-            h = reply.blob.array().reshape(B, P + T, d)
+            h = client._result_rows(reply, B, P + T)
 
         # classification on the final position of each sequence
         h_last = h[:, -1, :].astype(np.float64)
@@ -758,10 +735,10 @@ class FinetuneSession:
 
         g = g_h
         for hop in reversed(chain.hops):
-            blob = HiddenBlob.from_array(g.reshape(B * (P + T), d))
+            blob = client._blob_from_rows(g, B, P + T, False)
             reply = self._training_rpc(hop, Backward(req_id, blob, B, P + T,
                                                      hop.start, hop.end))
-            g = reply.blob.array().reshape(B, P + T, d)
+            g = client._result_rows(reply, B, P + T)
 
         g_prompt = g[:, :P, :].sum(axis=0)
         self.counters.passes += 1

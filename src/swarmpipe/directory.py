@@ -17,6 +17,7 @@ from .wire import Announce, Error, WireMessage
 ANNOUNCE_PERIOD_S = 10.0
 TTL_S = 3 * ANNOUNCE_PERIOD_S
 DIRECTORY_ADDR = "directory"   # the node name the directory is registered under
+BAN_COOLDOWN_S = 15.0          # virtual seconds a client's ban lasts
 
 STATE_JOINING = "joining"
 STATE_ONLINE = "online"
@@ -105,16 +106,15 @@ def block_load(snapshot: list[ServerInfo], n_blocks: int) -> list[float]:
 
 
 class BanList:
-    """Client-local bans with a cooldown; banned servers are excluded from
-    that client's routing until the cooldown expires."""
+    """Client-local bans; a banned server is excluded from that client's
+    routing for ``BAN_COOLDOWN_S``."""
 
-    def __init__(self, now: Callable[[], float], cooldown_s: float = 30.0):
+    def __init__(self, now: Callable[[], float]):
         self._now = now
-        self.cooldown_s = cooldown_s
         self._expires: dict[str, float] = {}
 
     def ban(self, server_id: str) -> None:
-        self._expires[server_id] = self._now() + self.cooldown_s
+        self._expires[server_id] = self._now() + BAN_COOLDOWN_S
 
     def unban(self, server_id: str) -> None:
         self._expires.pop(server_id, None)

@@ -2,8 +2,8 @@
 
 Model and protocol errors are raised in-process. A server answers a refused
 request with a wire ``Error`` code instead (see wire.py), and
-``client._refused`` decides what each code raises in the client. Transport
-errors describe delivery outcomes of the simulated or real network.
+``SwarmClient._call_stage`` decides what each code raises in the client.
+Transport errors describe delivery outcomes of the simulated or real network.
 """
 
 

@@ -29,13 +29,6 @@ without blocking; timers (the servers' announce and rebalance loops) run the
 same way and interleave deterministically with client traffic. Churn needs no
 timer: ``online`` reads the schedule at the current time.
 
-Each endpoint keeps one ``HandlerContext`` per sender, made on the first
-message from it. A leg looks up only that context: it holds the sender's
-``LinkStats`` for both directions, the same objects ``links`` lists, so no
-leg builds a ``(src, dst)`` key. The reply direction's stats are made on the
-first reply leg, so ``links`` lists exactly the links a message crossed or
-was lost on.
-
 Run-ahead
 ---------
 On the shape-only engine a run of decode ``Step`` rounds between two
@@ -174,14 +167,12 @@ class LinkStats:
 
 
 class HandlerContext:
-    """What a handler sees while serving one message, on either transport.
-    On the simulator it also holds the sender's link stats: ``up`` for
-    src -> dst, ``down`` for dst -> src (None until a reply leg needs it)."""
+    """What a handler sees while serving a message, on either transport: the
+    network and its clock. Each network makes one and hands it to every
+    handler."""
 
     def __init__(self, net):
         self.net = net
-        self.up: LinkStats | None = None
-        self.down: LinkStats | None = None
 
     @property
     def now(self) -> float:
@@ -206,9 +197,6 @@ class _Endpoint:
         self.drop_p = drop_override if drop_override is not None else profile.failure_prob
         self.one_way_s = profile.one_way_s()
         self.always_on = not churn.intervals
-        # per sender: the handler context, which holds nothing per message
-        # but the sender's link stats in both directions
-        self.contexts: dict[str, HandlerContext] = {}
 
     def online(self, t: float) -> bool:
         return not self.crashed and (self.always_on or self.churn.online(t))
@@ -279,6 +267,7 @@ class SimNetwork:
         self._draw = self._drops.draw
         self._endpoints: dict[str, _Endpoint] = {}
         self.links: dict[tuple[str, str], LinkStats] = {}
+        self._ctx = HandlerContext(self)
         self.trace_enabled = trace
         self.trace: list[tuple] = []
 
@@ -305,17 +294,12 @@ class SimNetwork:
     # -- accounting ---------------------------------------------------------
 
     def _link(self, src: str, dst: str) -> LinkStats:
+        """The src -> dst stats, made on the first leg that needs them, so
+        ``links`` lists exactly the links a message crossed or was lost on."""
         st = self.links.get((src, dst))
         if st is None:
             st = self.links[(src, dst)] = LinkStats()
         return st
-
-    def _new_context(self, ep: _Endpoint, src: str, dst: str) -> HandlerContext:
-        """The context of the first message from ``src`` to ``ep``, holding
-        the src -> dst link stats its leg is booked on."""
-        ctx = ep.contexts[src] = HandlerContext(self)
-        ctx.up = self._link(src, dst)
-        return ctx
 
     def total_bytes(self) -> int:
         return sum(s.bytes for s in self.links.values())
@@ -338,8 +322,7 @@ class SimNetwork:
                 self._record("conn_fail", src, dst, msg)
             raise ConnectionFailed(f"{dst} is offline")
         nbytes = framed_nbytes(msg)
-        ctx = ep.contexts.get(src) or self._new_context(ep, src, dst)
-        st = ctx.up
+        st = self.links.get((src, dst)) or self._link(src, dst)
         if self._draw() < ep.drop_p:
             st.drops += 1
             if self.trace_enabled:
@@ -354,7 +337,7 @@ class SimNetwork:
         def deliver() -> None:
             if ep.online(self.clock.now):
                 try:
-                    ep.handler.handle(msg, ctx)
+                    ep.handler.handle(msg, self._ctx)
                 except SimulatedCrash:
                     ep.crashed = True
         self.clock.schedule(t_arrive, deliver)
@@ -374,10 +357,9 @@ class SimNetwork:
                 self._record("conn_fail", src, dst, msg)
             raise ConnectionFailed(f"{dst} is offline")
         profile = ep.profile
-        ctx = ep.contexts.get(src) or self._new_context(ep, src, dst)
 
         # request leg
-        st = ctx.up
+        st = self.links.get((src, dst)) or self._link(src, dst)
         if self._draw() < ep.drop_p:
             st.drops += 1
             if self.trace_enabled:
@@ -392,7 +374,7 @@ class SimNetwork:
 
         # handler compute (may advance the clock via ctx.consume)
         try:
-            reply = ep.handler.handle(msg, ctx)
+            reply = ep.handler.handle(msg, self._ctx)
         except SimulatedCrash:
             ep.crashed = True
             if self.trace_enabled:
@@ -403,9 +385,7 @@ class SimNetwork:
 
         # reply leg
         rep_bytes = framed_nbytes(reply)
-        st = ctx.down
-        if st is None:
-            st = ctx.down = self._link(dst, src)
+        st = self.links.get((dst, src)) or self._link(dst, src)
         if self._draw() < ep.drop_p:
             st.drops += 1
             if self.trace_enabled:
@@ -488,13 +468,12 @@ class SimNetwork:
             k = done + (at < j)
             if not k:
                 continue
-            ctx = ep.contexts.get(src) or self._new_context(ep, src, dst)
-            ctx.up.messages += k
-            ctx.up.bytes += k * nq
-            if ctx.down is None:
-                ctx.down = self._link(dst, src)
-            ctx.down.messages += k
-            ctx.down.bytes += k * nr
+            up = self.links.get((src, dst)) or self._link(src, dst)
+            up.messages += k
+            up.bytes += k * nq
+            down = self.links.get((dst, src)) or self._link(dst, src)
+            down.messages += k
+            down.bytes += k * nr
             ep.handler.book_steps(session, k, last[at])
         return done, j
 

@@ -109,6 +109,7 @@ class RealNetwork:
         self._idle: dict[str, list[socket.socket]] = {}   # pooled connections per destination
         self._pool_lock = threading.Lock()
         self._closed = False
+        self._ctx = HandlerContext(self)   # what every listener hands its handler
 
     def register(self, name: str, handler, host: str = "127.0.0.1",
                  port: int = 0) -> tuple[str, int]:
@@ -216,7 +217,6 @@ class _Listener:
         self.net = net
         self.name = name
         self.handler = handler
-        self._ctx = HandlerContext(net)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
@@ -283,17 +283,17 @@ class _Listener:
             return False
         buf += chunk
         while len(buf) >= HEADER_LEN:
-            end = frame_len(buf)
-            if len(buf) < end:
-                break
-            frame = bytes(buf[:end])
-            del buf[:end]
             try:
+                end = frame_len(buf)   # refuses a bad magic before any length is waited for
+                if len(buf) < end:
+                    break
+                frame = bytes(buf[:end])
+                del buf[:end]
                 msg, _ = decode_frame(frame)
             except ProtocolError:
                 return False
             try:
-                reply = self.handler.handle(msg, self._ctx)
+                reply = self.handler.handle(msg, self.net._ctx)
             except Exception:
                 # a request the handler cannot serve costs its connection,
                 # not the node; the error is reported as a thread's would be

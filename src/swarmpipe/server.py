@@ -394,10 +394,7 @@ class BlockServer:
         refusal = self._step_refusal(s, p)
         if refusal is not None:
             return refusal
-        rows = p.width * p.n_new
-        # a stage holds at least one block, so this is positive: what
-        # ``ctx.consume`` would charge
-        ctx.net.clock.charge(self.cfg.stage_seconds(s.end - s.start, rows, p.n_new == 1))
+        ctx.consume(self.cfg.stage_seconds(s.end - s.start, p.width * p.n_new, p.n_new == 1))
         out = self.engine.run_cached(s.start, s.end, s.caches, p.blob,
                                      p.width, p.n_new, s.quantized)
         s.positions += p.n_new

@@ -25,13 +25,12 @@ class SimSwarm:
     engine_kind: str
     _client_seq: int = 0
 
-    def client(self, name: str | None = None, **kw) -> SwarmClient:
+    def client(self, name: str | None = None) -> SwarmClient:
         self._client_seq += 1
         name = name or f"client{self._client_seq}"
         engine = (RealClientEngine(self.model_config) if self.engine_kind == "real"
                   else TimedClientEngine(self.model_config))
-        return SwarmClient(name, self.model_config, self.net, self.board,
-                           engine=engine, **kw)
+        return SwarmClient(name, self.model_config, self.net, self.board, engine=engine)
 
     def server_list(self) -> list[BlockServer]:
         return [self.servers[k] for k in sorted(self.servers)]

@@ -395,8 +395,11 @@ def framed_nbytes(msg: WireMessage) -> int:
 
 def frame_len(head: bytes) -> int:
     """The length of the whole frame whose first ``HEADER_LEN`` bytes are
-    ``head``."""
-    return HEADER_LEN + _HEADER.unpack_from(head)[3] + TRAILER_LEN
+    ``head``; ProtocolError when they do not start with the magic."""
+    magic, _, _, plen = _HEADER.unpack_from(head)
+    if magic != MAGIC:
+        raise ProtocolError("bad magic")
+    return HEADER_LEN + plen + TRAILER_LEN
 
 
 def wants_reply(frame: bytes) -> bool:

@@ -7,7 +7,8 @@ import pytest
 
 from swarmpipe import model as M
 from swarmpipe.client import MAX_REROUTES, Strategy, _Stage
-from swarmpipe.errors import BudgetExhausted, SwarmUnavailableError
+from swarmpipe.directory import BAN_COOLDOWN_S
+from swarmpipe.errors import BudgetExhausted, CapacityError, SwarmUnavailableError
 from swarmpipe.model import ModelConfig, init_model, reference_generate
 from swarmpipe.netsim import ChurnSchedule, NetProfile
 from swarmpipe.router import Hop
@@ -25,18 +26,19 @@ def oracle64(cfg):
     return reference_generate(cfg, [5, 6, 7], 64)
 
 
-def _refuse(srv, kind=OpenSession) -> list[int]:
-    """Make ``srv`` answer every ``kind`` request with ``not_serving``;
-    returns the list of refused session ids. The 51st refusal raises
-    instead, so a client that never gives up fails the test, not hangs it."""
+def _refuse(srv, kind=OpenSession, code="not_serving", times=None) -> list[int]:
+    """Make ``srv`` answer ``kind`` requests with ``Error(code)``: the first
+    ``times`` of them, or every one (None); returns the list of refused
+    session ids. The 51st refusal raises instead, so a client that never
+    gives up fails the test, not hangs it."""
     handle, refused = srv.handle, []
 
     def refuse(msg, ctx):
-        if isinstance(msg.payload, kind):
+        if isinstance(msg.payload, kind) and len(refused) != times:
             if len(refused) == 50:
                 raise AssertionError(f"{srv.server_id} refused 50 times")
             refused.append(msg.session_id)
-            return WireMessage(Error("not_serving", "refusing for the test"))
+            return WireMessage(Error(code, "refusing for the test"))
         return handle(msg, ctx)
 
     srv.handle = refuse
@@ -198,9 +200,8 @@ class TestRecovery:
     def test_unroutable_swarm_raises(self, cfg):
         swarm = build_sim_swarm(cfg, n_stages=4, replicas=1, seed=0,
                                 churn={"s3a": ChurnSchedule([(10_000.0, 10_001.0)])})
-        client = swarm.client(reroute_backoff_s=0.5)
         with pytest.raises(SwarmUnavailableError):
-            client.generate([5, 6, 7], 8)
+            swarm.client().generate([5, 6, 7], 8)
 
     def test_refused_open_closes_the_hops_already_open(self, cfg, oracle64):
         """The third hop refuses OPEN_SESSION; the two hops opened before it
@@ -226,6 +227,27 @@ class TestRecovery:
             swarm.client().generate([1, 2, 3], 4, strategy=strategy)
         assert len(refused) == MAX_REROUTES
 
+    @pytest.mark.parametrize("code", ["expired", "capacity", "not_serving"])
+    def test_refused_decode_step_maps_like_any_stage_rpc(self, cfg, oracle64, code):
+        """s2a refuses the first decode-loop ``Step`` it gets. ``expired``
+        rebuilds the stage on s2a without a ban, ``capacity`` ends the run,
+        and ``not_serving`` bans s2a and replaces its stage."""
+        swarm = build_sim_swarm(cfg, seed=0)
+        refused = _refuse(swarm.servers["s2a"], Step, code, times=1)
+        client = swarm.client()
+        if code == "capacity":
+            with pytest.raises(CapacityError):
+                client.generate([5, 6, 7], 64)
+            assert len(refused) == 1
+            return
+        res = client.generate([5, 6, 7], 64)
+        assert len(refused) == 1 and res.tokens == oracle64
+        assert res.counters.recoveries == 1
+        assert [e[:2] for e in res.counters.restore_events] == [(4, 6)]
+        assert client.bans.is_banned("s2a") == (code == "not_serving")
+        stage_servers = {k for k, s in swarm.servers.items() if s.handled and k[1] == "2"}
+        assert stage_servers == ({"s2a"} if code == "expired" else {"s2a", "s2b"})
+
     def test_refused_replacement_closes_the_hops_already_rebuilt(self, cfg):
         """s1a crashes and [2, 4) is replaced by h2 + h3; h3 refuses, so the
         client routes h2 + h3b and closes the session it rebuilt on h2."""
@@ -248,11 +270,11 @@ class TestRecovery:
 
     def test_ban_expires_and_server_returns(self, cfg, oracle64):
         swarm = build_sim_swarm(cfg, seed=0)
-        client = swarm.client(ban_cooldown_s=5.0)
+        client = swarm.client()
         client.bans.ban("s0a")
         client.refresh_routes()
         assert "s0a" not in client.graph.servers
-        swarm.net.clock.advance(5.1)
+        swarm.net.clock.advance(BAN_COOLDOWN_S + 0.1)
         client.refresh_routes()
         assert "s0a" in client.graph.servers
 

@@ -4,8 +4,9 @@ from dataclasses import asdict
 
 import pytest
 
-from swarmpipe.directory import (ANNOUNCE_PERIOD_S, BanList, DirectoryBoard,
-                                 DirectoryHandler, ServerInfo, TTL_S, block_load)
+from swarmpipe.directory import (ANNOUNCE_PERIOD_S, BAN_COOLDOWN_S, BanList,
+                                 DirectoryBoard, DirectoryHandler, ServerInfo, TTL_S,
+                                 block_load)
 from swarmpipe.errors import ProtocolError
 from swarmpipe.wire import Announce, Error, Ping, WireMessage, encode_frame, framed_nbytes
 
@@ -111,12 +112,12 @@ class TestBlockLoad:
 
 class TestBanList:
     def test_ban_and_expiry(self, clock):
-        bans = BanList(clock, cooldown_s=30.0)
+        bans = BanList(clock)
         bans.ban("x")
         assert bans.is_banned("x")
-        clock.t = 29.0
+        clock.t = BAN_COOLDOWN_S - 1
         assert bans.is_banned("x")
-        clock.t = 30.0
+        clock.t = BAN_COOLDOWN_S
         assert not bans.is_banned("x")
 
     def test_ban_unknown_id_noop(self, clock):

@@ -140,6 +140,20 @@ def test_malformed_frame_closes_only_its_connection(tcp_swarm, kind):
     assert net.ping("cli", "s0") > 0
 
 
+def test_bad_magic_header_closes_the_connection_at_once(tcp_swarm):
+    """A header without the magic is refused as soon as it arrives, whatever
+    length it claims (here 2^40 bytes, which the node would otherwise wait
+    for); the node keeps serving."""
+    cfg, net = tcp_swarm
+    head = struct.pack("<4sB16sQ", b"XXXX", Kind.PING, bytes(16), 1 << 40)
+    assert len(head) == 29
+    with socket.create_connection(net._addrs["s0"], timeout=2.0) as conn:
+        conn.sendall(head)
+        conn.settimeout(1.0)
+        assert conn.recv(64) == b""
+    assert net.ping("cli", "s0") > 0
+
+
 def test_handler_error_closes_only_its_connection(tcp_swarm, monkeypatch):
     """A handler that raises on a well-formed STEP has the error reported
     through ``threading.excepthook``; the request's connection closes, and
