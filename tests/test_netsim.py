@@ -15,9 +15,11 @@ class _Echo:
     def __init__(self, compute_s: float = 0.0):
         self.compute_s = compute_s
         self.seen = []
+        self.contexts = []
 
     def handle(self, msg, ctx):
         self.seen.append((ctx.now, msg.kind.name))
+        self.contexts.append(ctx)
         if self.compute_s:
             ctx.consume(self.compute_s)
         return WireMessage(Pong())
@@ -133,6 +135,20 @@ class TestRpc:
         t0 = net.clock.now
         net.rpc("c", "srv", WireMessage(Ping()))
         assert net.clock.now - t0 >= 2.5
+
+    def test_every_handler_gets_the_network_s_one_context(self):
+        """Whoever sends, and whether by ``rpc`` or ``post``, every handler
+        is handed the network's one ``HandlerContext``."""
+        net, echo = _net()
+        other = _Echo()
+        net.register("srv2", other)
+        for src, dst in (("c1", "srv"), ("c2", "srv"), ("c1", "srv2")):
+            net.rpc(src, dst, WireMessage(Ping()))
+        net.post("c2", "srv2", WireMessage(Ping()))
+        net.clock.advance(1.0)
+        ctxs = echo.contexts + other.contexts
+        assert len(ctxs) == 4 and all(c is ctxs[0] for c in ctxs)
+        assert isinstance(ctxs[0], HandlerContext) and ctxs[0].net is net
 
     def test_timers_fire_during_compute(self):
         net = SimNetwork(seed=0)
