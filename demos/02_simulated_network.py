@@ -8,8 +8,8 @@ from swarmpipe.wire import Ping, Pong, WireMessage, framed_nbytes
 
 
 class Echo:
-    def handle(self, msg, ctx):
-        ctx.consume(0.25)          # pretend a quarter second of compute
+    def handle(self, msg, net):
+        net.clock.charge(0.25)     # pretend a quarter second of compute
         return WireMessage(Pong())
 
 

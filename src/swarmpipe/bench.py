@@ -10,11 +10,10 @@ identical files.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -32,6 +31,12 @@ LENGTHS = (128, 1024, 2048)
 BUDGET_S = 1e6
 HOPELESS_MIN_ATTEMPTS = 64
 HOPELESS_EXPECTED_SUCCESSES = 0.1
+# every grid cell: shape-only stages, 1 Gbit/s links at 2 ms RTT, 8-token prefix
+GRID_STAGES = 4
+GRID_REPLICAS = 2
+GRID_BANDWIDTH_BPS = 1e9
+GRID_RTT_MS = 2.0
+GRID_PREFIX_LEN = 8
 
 
 @dataclass
@@ -42,13 +47,6 @@ class ExperimentSpec:
     budget_s: float = BUDGET_S
     failure_rates: tuple = FAILURE_RATES
     lengths: tuple = LENGTHS
-    strategies: tuple = tuple(s.value for s in Strategy)
-    n_stages: int = 4
-    replicas: int = 2
-    prefix_len: int = 8
-    engine: str = "timed"
-    bandwidth_bps: float = 1e9
-    rtt_ms: float = 2.0
 
 
 @dataclass
@@ -112,14 +110,14 @@ def run_failure_rate_cell(spec: ExperimentSpec, p: float, length: int,
                           strategy: Strategy) -> RunRecord:
     cell_key = zlib.crc32(f"{round(p, 8)!r}|{length}|{strategy.value}".encode())
     cell_seed = (spec.seed * 1_000_003 + cell_key) & 0x7FFFFFFF
-    profile = NetProfile(spec.bandwidth_bps, spec.rtt_ms, p)
+    profile = NetProfile(GRID_BANDWIDTH_BPS, GRID_RTT_MS, p)
     model = ModelConfig(seed=spec.seed,
-                        max_seq_len=max(2048, length + spec.prefix_len))
-    swarm = build_sim_swarm(model, n_stages=spec.n_stages, replicas=spec.replicas,
-                            profile=profile, engine=spec.engine, seed=cell_seed)
+                        max_seq_len=max(2048, length + GRID_PREFIX_LEN))
+    swarm = build_sim_swarm(model, n_stages=GRID_STAGES, replicas=GRID_REPLICAS,
+                            profile=profile, engine="timed", seed=cell_seed)
     client = swarm.client()
-    prefix = list(range(1, spec.prefix_len + 1))
-    probe = (_hopeless_restart_probe(p, spec.n_stages, length)
+    prefix = list(range(1, GRID_PREFIX_LEN + 1))
+    probe = (_hopeless_restart_probe(p, GRID_STAGES, length)
              if strategy == Strategy.RESTART else None)
     started = swarm.net.clock.now
     completed, cutoff, recov, restarts, payload = True, "", 0, 0, 0
@@ -149,7 +147,7 @@ def run_failure_rate_cell(spec: ExperimentSpec, p: float, length: int,
 
 def run_failure_rate_experiment(spec: ExperimentSpec) -> list[RunRecord]:
     records = []
-    for strategy in [Strategy(s) for s in spec.strategies]:
+    for strategy in Strategy:
         for length in spec.lengths:
             for p in spec.failure_rates:
                 records.append(run_failure_rate_cell(spec, p, length, strategy))

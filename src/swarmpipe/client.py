@@ -40,13 +40,17 @@ from .errors import (BudgetExhausted, CapacityError, ConfigurationError, Connect
                      MessageDropped, NoRouteError, SwarmUnavailableError)
 from .netsim import SimNetwork
 from .router import Chain, Hop, RoutingGraph, ServerRoute
-from .wire import (Backward, Close, Error, Forward, HiddenBlob, OpenSession,
+from .wire import (Backward, Close, Error, Forward, HiddenBlob, OpenSession, Pong,
                    Reorder, Restore, Step, StepResult, WireMessage)
 
 MAX_REROUTES = 10          # routing attempts before a chain counts as unavailable
 REROUTE_BACKOFF_S = 2.0    # virtual seconds a client waits when no chain exists
 CACHE_OVERHEAD_S = 0.005   # client bookkeeping per stage per step that keeps history
 MAX_PASS_RETRIES = 50      # fine-tune passes tried before giving up
+
+# the reply each stage request expects (see ``SwarmClient._call_stage``)
+_REPLY = {OpenSession: Pong, Reorder: Pong, Step: StepResult, Restore: StepResult,
+          Forward: StepResult, Backward: StepResult}
 
 
 class Strategy(enum.Enum):
@@ -213,24 +217,27 @@ class SwarmClient:
         self.graph.sync(routes)
 
     def _call_stage(self, server_id: str, session_id: int, payload):
-        """One stage RPC; returns the reply's payload. A message that got no
-        reply raises a banning ``_StageFailure``. An ``Error`` reply raises
-        what its code means: ``capacity`` a ``CapacityError``; ``expired``,
-        ``desync`` and ``no_record`` (a live server lost the state: rebuild
-        it or repeat the pass there) a ``_StageFailure`` without a ban; any
-        other code a banning one."""
+        """One stage RPC; returns the reply's payload, of the type ``_REPLY``
+        expects. A message that got no reply raises a banning
+        ``_StageFailure``. An ``Error`` reply raises what its code means:
+        ``capacity`` a ``CapacityError``; ``expired``, ``desync`` and
+        ``no_record`` (a live server lost the state: rebuild it or repeat the
+        pass there) a ``_StageFailure`` without a ban; any other code a
+        banning one. A reply of any other type is a banning failure too."""
         try:
             reply = self.net.rpc(self.name, server_id, WireMessage(payload, session_id))
         except (MessageDropped, ConnectionFailed) as e:
             raise _StageFailure(server_id, ban=True, reason=str(e),
                                 dropped=isinstance(e, MessageDropped))
         res = reply.payload
+        if isinstance(res, _REPLY[type(payload)]):
+            return res
         if isinstance(res, Error):
             if res.code == "capacity":
                 raise CapacityError(res.detail)
             lost_state = res.code in ("expired", "desync", "no_record")
             raise _StageFailure(server_id, ban=not lost_state, reason=res.code)
-        return res
+        raise _StageFailure(server_id, ban=True, reason=f"answered {reply.kind.name}")
 
     def _ban_if(self, f: _StageFailure) -> None:
         """Ban the failed server unless it is alive and only lost state."""
@@ -507,6 +514,10 @@ class SwarmClient:
         """Generate ``n_new`` tokens after ``prefix`` through the swarm.
         Returns the full token sequence (prefix included) plus counters.
 
+        With ``mode="sample"`` each attempt draws from a generator seeded by
+        ``sample_seed``; ``sample_seed=None`` seeds each attempt, restarts
+        included, from OS entropy.
+
         With ``teacher_tokens`` the context is forced to the given tokens
         while the model's own picks are still recorded in the result; this is
         the matched-context evaluation used to quantify codec effects without
@@ -534,8 +545,9 @@ class SwarmClient:
 
     def _chooser(self, prefix, mode, sample_seed, teacher_tokens):
         """A fresh token list (the prefix) and the ``choose`` that appends the
-        engine's pick to it and feeds back that pick or the teacher's token."""
-        rng = np.random.Generator(np.random.PCG64(sample_seed))
+        engine's pick to it and feeds back that pick or the teacher's token.
+        Only sampling gets a generator, seeded by ``sample_seed``."""
+        rng = np.random.Generator(np.random.PCG64(sample_seed)) if mode == "sample" else None
         tokens = list(prefix)
 
         def choose(out):

@@ -137,7 +137,7 @@ class DirectoryHandler:
     def __init__(self, board: DirectoryBoard):
         self.board = board
 
-    def handle(self, msg: WireMessage, ctx) -> WireMessage:
+    def handle(self, msg: WireMessage, net) -> WireMessage:
         if not isinstance(msg.payload, Announce):
             return WireMessage(Error("protocol", f"directory cannot serve {msg.kind.name}"))
         rec = msg.payload.record

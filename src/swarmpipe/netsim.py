@@ -21,13 +21,13 @@ even at p = 0, because skipping one would shift every later drop of every
 endpoint.
 
 Blocking exchanges (``rpc``) advance the clock through request delivery,
-handler compute, and the reply leg. Handlers spend compute with
-``ctx.consume``, which charges the clock (``VirtualClock.charge``: the same
-as ``advance`` here, free on the TCP transport's wall clock). Fire-and-
-forget sends (``post``) schedule their delivery effect on the clock agenda
-without blocking; timers (the servers' announce and rebalance loops) run the
-same way and interleave deterministically with client traffic. Churn needs no
-timer: ``online`` reads the schedule at the current time.
+handler compute, and the reply leg. A handler gets the network as
+``handle``'s second argument and spends compute with ``net.clock.charge``
+(the same as ``advance`` here, free on the TCP transport's wall clock).
+Fire-and-forget sends (``post``) schedule their delivery effect on the clock
+agenda without blocking; timers (the servers' announce and rebalance loops)
+run the same way and interleave deterministically with client traffic. Churn
+needs no timer: ``online`` reads the schedule at the current time.
 
 Run-ahead
 ---------
@@ -50,13 +50,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import length_hint
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
 from .errors import ConnectionFailed, MessageDropped, ProtocolError, Unreachable
-from .wire import WireMessage, Error, Ping, Pong, framed_nbytes
+from .wire import WireMessage, Ping, Pong, framed_nbytes
 
 DROP_DRAWS = 256    # drop draws fetched at a time; 4,096 added ~0.4 MB to studies' peak RSS
 PING_DEADLINE_S = 5.0   # virtual seconds a ping to an offline node waits
@@ -156,7 +155,7 @@ class SimulatedCrash(Exception):
 
 
 class Handler(Protocol):
-    def handle(self, msg: WireMessage, ctx: "HandlerContext") -> WireMessage: ...
+    def handle(self, msg: WireMessage, net) -> WireMessage: ...   # net delivered msg
 
 
 @dataclass
@@ -164,24 +163,6 @@ class LinkStats:
     messages: int = 0
     bytes: int = 0
     drops: int = 0
-
-
-class HandlerContext:
-    """What a handler sees while serving a message, on either transport: the
-    network and its clock. Each network makes one and hands it to every
-    handler."""
-
-    def __init__(self, net):
-        self.net = net
-
-    @property
-    def now(self) -> float:
-        return self.net.clock.now
-
-    def consume(self, seconds: float) -> None:
-        """Charge modelled compute time to the network's clock."""
-        if seconds > 0:
-            self.net.clock.charge(seconds)
 
 
 class _Endpoint:
@@ -210,50 +191,34 @@ class _Endpoint:
 
 class _DropStream:
     """The uniform stream of one PCG64 generator, fetched ``DROP_DRAWS``
-    values at a time. ``draw`` takes the next value. The run-ahead reads
-    values without taking them (``peek``, then ``more`` for each further
-    chunk) and then takes as many as it used (``skip``)."""
+    values at a time into one list read from a cursor. ``draw`` takes the
+    next value. The run-ahead reads values without taking them (``ahead``)
+    and then takes as many as it used (``skip``)."""
 
     def __init__(self, seed: int):
         self._rng = np.random.Generator(np.random.PCG64(seed))
-        self._chunk: list[float] = []
-        self._it = iter(self._chunk)       # the next value of the current chunk
-        self._ahead: list[list[float]] = []   # chunks ``more`` fetched, in order
-        self.draw = self._values().__next__
+        self._values: list[float] = []
+        self._at = 0        # the next value not taken
 
-    def _values(self) -> Iterator[float]:
-        while True:
-            it = self._it
-            yield from it
-            if self._it is it:    # ``skip`` may have moved on already
-                self._next_chunk()
+    def draw(self) -> float:
+        at = self._at
+        if at == len(self._values):
+            self._values, at = self._rng.random(DROP_DRAWS).tolist(), 0
+        self._at = at + 1
+        return self._values[at]
 
-    def _next_chunk(self) -> None:
-        self._chunk = (self._ahead.pop(0) if self._ahead
-                       else self._rng.random(DROP_DRAWS).tolist())
-        self._it = iter(self._chunk)
-
-    def peek(self) -> list[float]:
-        """Every value fetched and not taken yet: the rest of the current
-        chunk and the chunks ``more`` fetched."""
-        return self._chunk[len(self._chunk) - length_hint(self._it):] + [
-            u for chunk in self._ahead for u in chunk]
-
-    def more(self) -> list[float]:
-        """The next chunk after every value fetched, not taken."""
-        chunk = self._rng.random(DROP_DRAWS).tolist()
-        self._ahead.append(chunk)
-        return chunk
+    def ahead(self, n: int) -> list[float]:
+        """At least ``n`` values not taken yet, in stream order, fetching
+        chunks as needed; takes none."""
+        del self._values[:self._at]
+        self._at = 0
+        while len(self._values) < n:
+            self._values += self._rng.random(DROP_DRAWS).tolist()
+        return self._values
 
     def skip(self, k: int) -> None:
-        """Take the next ``k`` values."""
-        left = length_hint(self._it)
-        while k > left:
-            next(itertools.islice(self._it, left, left), None)
-            k -= left
-            self._next_chunk()
-            left = len(self._chunk)
-        next(itertools.islice(self._it, k, k), None)
+        """Take the next ``k`` values (all fetched already by ``ahead``)."""
+        self._at += k
 
 
 class SimNetwork:
@@ -267,7 +232,6 @@ class SimNetwork:
         self._draw = self._drops.draw
         self._endpoints: dict[str, _Endpoint] = {}
         self.links: dict[tuple[str, str], LinkStats] = {}
-        self._ctx = HandlerContext(self)
         self.trace_enabled = trace
         self.trace: list[tuple] = []
 
@@ -337,7 +301,7 @@ class SimNetwork:
         def deliver() -> None:
             if ep.online(self.clock.now):
                 try:
-                    ep.handler.handle(msg, self._ctx)
+                    ep.handler.handle(msg, self)
                 except SimulatedCrash:
                     ep.crashed = True
         self.clock.schedule(t_arrive, deliver)
@@ -372,9 +336,9 @@ class SimNetwork:
             self._record("send", src, dst, msg, req_bytes)
         clock.advance_to(clock.now + ep.leg_s(req_bytes))
 
-        # handler compute (may advance the clock via ctx.consume)
+        # handler compute (may charge the clock)
         try:
-            reply = ep.handler.handle(msg, self._ctx)
+            reply = ep.handler.handle(msg, self)
         except SimulatedCrash:
             ep.crashed = True
             if self.trace_enabled:
@@ -437,12 +401,12 @@ class SimNetwork:
         # per call, as ``rpc`` and ``_step`` go: the request's draw and the
         # reply's, request leg, TTL check, compute, reply leg
         last = [session.last_activity for _, _, session, _, _ in stages]
-        draws = self._drops.peek()
+        draws = self._drops.ahead(2)
         n, i, done, j, have = len(calls), 0, 0, 0, len(draws)
         while done < rounds:
             p, req_s, charge_s, rep_s, ttl_s = timing[j]
             if i + 2 > have:
-                draws += self._drops.more()
+                draws = self._drops.ahead(i + 2)
                 have = len(draws)
             if draws[i] < p or draws[i + 1] < p:
                 break

@@ -14,10 +14,10 @@ the frame layout: its ``frame_len`` and ``wants_reply`` read the header.
 Client-side latency estimates come from PING round trips smoothed with
 alpha = 0.5.
 
-Time is the wall clock. Modelled costs (server compute charged through
-``ctx.consume``, the client's cache bookkeeping) go to ``WallClock.charge``,
-which returns at once: real work already takes real time. Only ``advance``
-waits, and only the client's reroute backoff calls it.
+Time is the wall clock. Modelled costs (server compute, the client's cache
+bookkeeping) go to ``WallClock.charge``, which returns at once: real work
+already takes real time. Only ``advance`` waits, and only the client's
+reroute backoff calls it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import time
 
 from .directory import DIRECTORY_ADDR, ServerInfo
 from .errors import ConnectionFailed, MessageDropped, ProtocolError, Unreachable
-from .netsim import HandlerContext, NetProfile
+from .netsim import NetProfile
 from .wire import (Announce, HEADER_LEN, Ping, Pong, WireMessage, decode_frame, encode_frame,
                    frame_len, wants_reply)
 
@@ -109,7 +109,6 @@ class RealNetwork:
         self._idle: dict[str, list[socket.socket]] = {}   # pooled connections per destination
         self._pool_lock = threading.Lock()
         self._closed = False
-        self._ctx = HandlerContext(self)   # what every listener hands its handler
 
     def register(self, name: str, handler, host: str = "127.0.0.1",
                  port: int = 0) -> tuple[str, int]:
@@ -156,7 +155,8 @@ class RealNetwork:
     def _exchange(self, dst: str, frame: bytes, reply: bool) -> WireMessage | None:
         """Send ``frame`` on a pooled connection to ``dst`` and, with
         ``reply``, read the answer. The connection goes back to the pool only
-        after a whole exchange; on any failure it is closed."""
+        after a whole exchange; on any failure, a malformed reply included,
+        it is closed."""
         with self._pool_lock:
             idle = self._idle.get(dst)
             conn = idle.pop() if idle else None
@@ -168,7 +168,7 @@ class RealNetwork:
         except socket.timeout as e:
             conn.close()
             raise MessageDropped(f"no reply from {dst}") from e
-        except OSError as e:
+        except (OSError, ProtocolError) as e:
             conn.close()
             raise ConnectionFailed(f"{dst}: {e}") from e
         except BaseException:
@@ -293,7 +293,7 @@ class _Listener:
             except ProtocolError:
                 return False
             try:
-                reply = self.handler.handle(msg, self.net._ctx)
+                reply = self.handler.handle(msg, self.net)
             except Exception:
                 # a request the handler cannot serve costs its connection,
                 # not the node; the error is reported as a thread's would be

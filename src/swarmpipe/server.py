@@ -6,11 +6,14 @@ Two payload engines sit behind the same protocol handler:
 
 * ``RealServerEngine`` computes actual activations with the toy model, so
   distributed outputs can be checked against the single-process oracle.
-* ``TimedServerEngine`` tracks only shapes. Wire sizes and virtual compute
-  times are identical to the real engine, which is what the benchmark
-  experiments measure; correctness suites always run the real engine.
+* ``TimedServerEngine`` keeps no state and computes nothing: a session's
+  width and length live only in its ``SessionState``. Wire sizes and virtual
+  compute times are identical to the real engine, which is what the
+  benchmark experiments measure; correctness suites always run the real
+  engine.
 
-Virtual compute costs: a single-position step costs ``1 /
+Virtual compute costs, charged to the server's network clock
+(``net.clock.charge``): a single-position step costs ``1 /
 compute_tokens_per_s`` per block (the server's configured rate); batched
 passes (prefill, restore, stateless forward) add ``BATCH_S_PER_ROW`` per row
 per block; backward costs twice its forward. Both engines reply to a
@@ -34,7 +37,7 @@ from . import model as M
 from .balancer import RebalanceConfig, measure_throughput, propose_rebalance
 from .directory import ANNOUNCE_PERIOD_S, DIRECTORY_ADDR, DirectoryBoard, ServerInfo
 from .errors import ProtocolError
-from .netsim import HandlerContext, SimNetwork, SimulatedCrash
+from .netsim import SimNetwork, SimulatedCrash
 from .wire import (Announce, Backward, Close, Error, Forward, HiddenBlob,
                    OpenSession, Ping, Pong, Reorder, Restore, Step, StepResult,
                    WireMessage, fnv1a64)  # noqa: F401  (fnv1a64: tracers patch it here by name)
@@ -82,12 +85,6 @@ class RealServerEngine:
 
     def make_caches(self, start: int, end: int, width: int) -> list[M.KVCache]:
         return [M.KVCache.empty(self.config, width) for _ in range(start, end)]
-
-    def cache_length(self, caches: list[M.KVCache]) -> int:
-        lengths = {c.length for c in caches}
-        if len(lengths) != 1:
-            raise ProtocolError("per-block cache lengths diverged")
-        return lengths.pop()
 
     def run_cached(self, start: int, end: int, caches: list[M.KVCache],
                    blob: HiddenBlob, width: int, n_new: int, quantized: bool) -> HiddenBlob:
@@ -138,42 +135,27 @@ class RealServerEngine:
         return HiddenBlob.from_array(out.reshape(batch * tokens, -1))
 
 
-@dataclass
-class _TimedCaches:
-    width: int
-    length: int
-
-
 class TimedServerEngine:
-    """Shape-only engine: same protocol, no arithmetic. Sessions track cache
-    shape; outputs are synthetic blobs of the right size."""
+    """Shape-only engine: same protocol, no arithmetic and no cache; a
+    session's width and length live in its ``SessionState`` alone. Outputs
+    are synthetic blobs of the right size."""
 
     def __init__(self, config: M.ModelConfig):
         self.config = config
 
-    def make_caches(self, start: int, end: int, width: int) -> _TimedCaches:
-        return _TimedCaches(width, 0)
+    def make_caches(self, start: int, end: int, width: int) -> None:
+        return None
 
-    def cache_length(self, caches: _TimedCaches) -> int:
-        return caches.length
-
-    def run_cached(self, start: int, end: int, caches: _TimedCaches,
+    def run_cached(self, start: int, end: int, caches: None,
                    blob: HiddenBlob, width: int, n_new: int, quantized: bool) -> HiddenBlob:
-        self.extend(caches, n_new)
         return self.output(width * n_new, quantized)
-
-    def extend(self, caches: _TimedCaches, n_new: int) -> None:
-        """Grow the caches by ``n_new`` positions."""
-        caches.length += n_new
 
     def output(self, rows: int, quantized: bool) -> HiddenBlob:
         """What a cached pass over ``rows`` rows answers."""
         return HiddenBlob.shape_only(rows, self.config.hidden_dim, quantized)
 
-    def reorder(self, caches: _TimedCaches, parents_zero_based: list[int]) -> None:
-        if parents_zero_based and max(parents_zero_based) >= caches.width:
-            raise ProtocolError("reorder index out of range")
-        caches.width = len(parents_zero_based)
+    def reorder(self, caches: None, parents_zero_based: list[int]) -> None:
+        """Nothing to gather: ``_reorder`` checks the indices and the width."""
 
     def forward(self, start: int, end: int, blob: HiddenBlob, batch: int, tokens: int,
                 micro_batch_tokens: int, record: list | None,
@@ -208,7 +190,6 @@ class SessionState:
     caches: object
     positions: int
     last_activity: float
-    desynced: bool = False
 
 
 MICRO_BATCH_TOKENS = 1024
@@ -302,7 +283,7 @@ class BlockServer:
 
     # -- protocol ------------------------------------------------------------
 
-    def handle(self, msg: WireMessage, ctx: HandlerContext) -> WireMessage:
+    def handle(self, msg: WireMessage, net) -> WireMessage:   # net is self.net
         self.handled += 1
         if self.cfg.crash_after_messages is not None and self.handled > self.cfg.crash_after_messages:
             raise SimulatedCrash(self.server_id)
@@ -311,7 +292,7 @@ class BlockServer:
         route = self._ROUTES.get(type(msg.payload))
         if route is None:
             return WireMessage(Error("protocol", f"unsupported kind {msg.kind.name}"))
-        return route(self, msg.session_id, msg.payload, ctx)
+        return route(self, msg.session_id, msg.payload)
 
     def _session(self, sid: int) -> SessionState | None:
         s = self.sessions.get(sid)
@@ -352,14 +333,14 @@ class BlockServer:
                 "protocol", f"blob is {blob.rows}x{blob.cols}, message declares {rows}x{cols}"))
         return None
 
-    def _ping(self, sid: int, p: Ping, ctx: HandlerContext) -> WireMessage:
+    def _ping(self, sid: int, p: Ping) -> WireMessage:
         return WireMessage(Pong())
 
-    def _close(self, sid: int, p: Close, ctx: HandlerContext) -> WireMessage:
+    def _close(self, sid: int, p: Close) -> WireMessage:
         self.sessions.pop(sid, None)
         return WireMessage(Pong())
 
-    def _open(self, sid: int, p: OpenSession, ctx: HandlerContext) -> WireMessage:
+    def _open(self, sid: int, p: OpenSession) -> WireMessage:
         refusal = self._not_serving(p.start, p.end)
         if refusal is not None:
             return refusal
@@ -374,8 +355,6 @@ class BlockServer:
         None when it may step."""
         if s is None:
             return WireMessage(Error("expired", "no such session"))
-        if s.desynced:
-            return WireMessage(Error("desync", "cache length diverged"))
         if p.position_offset != s.positions:
             return WireMessage(Error(
                 "desync", f"at position {s.positions}, step claims {p.position_offset}"))
@@ -389,18 +368,16 @@ class BlockServer:
             return self._misshaped(p.blob, rows)
         return None
 
-    def _step(self, sid: int, p: Step, ctx: HandlerContext) -> WireMessage:
+    def _step(self, sid: int, p: Step) -> WireMessage:
         s = self._session(sid)
         refusal = self._step_refusal(s, p)
         if refusal is not None:
             return refusal
-        ctx.consume(self.cfg.stage_seconds(s.end - s.start, p.width * p.n_new, p.n_new == 1))
+        n_blocks = s.end - s.start
+        self.net.clock.charge(self.cfg.stage_seconds(n_blocks, p.width * p.n_new, p.n_new == 1))
         out = self.engine.run_cached(s.start, s.end, s.caches, p.blob,
                                      p.width, p.n_new, s.quantized)
         s.positions += p.n_new
-        if self.engine.cache_length(s.caches) != s.positions:
-            s.desynced = True
-            return WireMessage(Error("desync", "cache length diverged"))
         s.last_activity = self.net.clock.now
         return WireMessage(StepResult(out))
 
@@ -417,8 +394,7 @@ class BlockServer:
         checks the TTL at each step's arrival."""
         s = self.sessions.get(sid)
         if (p.n_new != 1 or not isinstance(self.engine, TimedServerEngine)
-                or self._step_refusal(s, p) is not None
-                or self.engine.cache_length(s.caches) != s.positions):
+                or self._step_refusal(s, p) is not None):
             return None
         # handle purges at every 256th message and crashes past crash_after_messages
         most = min(255 - self.handled % 256, self.engine.config.max_seq_len - s.positions)
@@ -434,11 +410,10 @@ class BlockServer:
         """Book ``k`` steps of a ``step_lease``, the last one's compute
         ending at ``last_activity``, as ``handle`` and ``_step`` would."""
         self.handled += k
-        self.engine.extend(s.caches, k)
         s.positions += k
         s.last_activity = last_activity
 
-    def _restore(self, sid: int, p: Restore, ctx: HandlerContext) -> WireMessage:
+    def _restore(self, sid: int, p: Restore) -> WireMessage:
         s = self._session(sid)
         if s is None:
             return WireMessage(Error("expired", "no such session"))
@@ -450,10 +425,9 @@ class BlockServer:
         s.caches = self.engine.make_caches(s.start, s.end, p.width)
         s.width = p.width
         s.positions = 0
-        s.desynced = False
         if p.t > 0:
             n_blocks = s.end - s.start
-            ctx.consume(self.cfg.stage_seconds(n_blocks, p.width * p.t, False))
+            self.net.clock.charge(self.cfg.stage_seconds(n_blocks, p.width * p.t, False))
             out = self.engine.run_cached(s.start, s.end, s.caches, p.blob,
                                          p.width, p.t, s.quantized)
             s.positions = p.t
@@ -464,7 +438,7 @@ class BlockServer:
             out = HiddenBlob.shape_only(0, self.engine.config.hidden_dim)
         return WireMessage(StepResult(out))
 
-    def _reorder(self, sid: int, p: Reorder, ctx: HandlerContext) -> WireMessage:
+    def _reorder(self, sid: int, p: Reorder) -> WireMessage:
         s = self._session(sid)
         if s is None:
             return WireMessage(Error("expired", "no such session"))
@@ -476,7 +450,7 @@ class BlockServer:
         s.last_activity = self.net.clock.now
         return WireMessage(Pong())
 
-    def _forward(self, sid: int, p: Forward, ctx: HandlerContext) -> WireMessage:
+    def _forward(self, sid: int, p: Forward) -> WireMessage:
         # a rerouted step may ask this server for another interval under the
         # same req_id; only the same interval is a resend
         request = (p.req_id, p.start, p.end)
@@ -487,7 +461,7 @@ class BlockServer:
         refusal = self._not_serving(p.start, p.end) or self._misshaped(p.blob, rows)
         if refusal is not None:
             return refusal
-        ctx.consume(self.cfg.stage_seconds(p.end - p.start, rows, False))
+        self.net.clock.charge(self.cfg.stage_seconds(p.end - p.start, rows, False))
         record: list | None = [] if p.record else None
         out = self.engine.forward(p.start, p.end, p.blob, p.batch, p.tokens,
                                   MICRO_BATCH_TOKENS, record, p.quantize_reply)
@@ -500,7 +474,7 @@ class BlockServer:
         self.replay[sid] = (request, reply)
         return reply
 
-    def _backward(self, sid: int, p: Backward, ctx: HandlerContext) -> WireMessage:
+    def _backward(self, sid: int, p: Backward) -> WireMessage:
         rows = p.batch * p.tokens
         refusal = self._not_serving(p.start, p.end) or self._misshaped(p.blob, rows)
         if refusal is not None:
@@ -509,7 +483,7 @@ class BlockServer:
         if record is None:
             return WireMessage(Error("no_record",
                                      "no matching forward; repeat the pass"))
-        ctx.consume(2 * self.cfg.stage_seconds(p.end - p.start, rows, False))
+        self.net.clock.charge(2 * self.cfg.stage_seconds(p.end - p.start, rows, False))
         out = self.engine.backward(p.start, p.end, p.blob, p.batch, p.tokens, record)
         return WireMessage(StepResult(out))
 

@@ -63,7 +63,7 @@ class TestFailureRateCells:
         code = ("import sys\n"
                 "from swarmpipe.bench import ExperimentSpec, run_failure_rate_cell, write_records\n"
                 "from swarmpipe.client import Strategy\n"
-                "rec = run_failure_rate_cell(ExperimentSpec('failure-rate', engine='timed'),\n"
+                "rec = run_failure_rate_cell(ExperimentSpec('failure-rate'),\n"
                 "                            1e-2, 128, Strategy.DUAL_CACHE)\n"
                 "write_records([rec], sys.argv[1])\n")
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -13,7 +13,7 @@ from swarmpipe.model import ModelConfig, init_model, reference_generate
 from swarmpipe.netsim import ChurnSchedule, NetProfile
 from swarmpipe.router import Hop
 from swarmpipe.swarm import build_sim_swarm, build_swarm_from_config
-from swarmpipe.wire import Error, Forward, HiddenBlob, OpenSession, Step, WireMessage
+from swarmpipe.wire import Error, Forward, HiddenBlob, OpenSession, Pong, Step, WireMessage
 
 
 @pytest.fixture(scope="module")
@@ -26,20 +26,23 @@ def oracle64(cfg):
     return reference_generate(cfg, [5, 6, 7], 64)
 
 
-def _refuse(srv, kind=OpenSession, code="not_serving", times=None) -> list[int]:
-    """Make ``srv`` answer ``kind`` requests with ``Error(code)``: the first
-    ``times`` of them, or every one (None); returns the list of refused
-    session ids. The 51st refusal raises instead, so a client that never
-    gives up fails the test, not hangs it."""
+def _refuse(srv, kind=OpenSession, code="not_serving", times=None,
+            answer=None) -> list[int]:
+    """Make ``srv`` answer ``kind`` requests with ``Error(code)``, or with
+    the payload ``answer`` when given: the first ``times`` of them, or every
+    one (None); returns the list of refused session ids. The 51st refusal
+    raises instead, so a client that never gives up fails the test, not
+    hangs it."""
     handle, refused = srv.handle, []
 
-    def refuse(msg, ctx):
+    def refuse(msg, net):
         if isinstance(msg.payload, kind) and len(refused) != times:
             if len(refused) == 50:
                 raise AssertionError(f"{srv.server_id} refused 50 times")
             refused.append(msg.session_id)
-            return WireMessage(Error(code, "refusing for the test"))
-        return handle(msg, ctx)
+            return WireMessage(Error(code, "refusing for the test") if answer is None
+                               else answer)
+        return handle(msg, net)
 
     srv.handle = refuse
     return refused
@@ -226,6 +229,18 @@ class TestRecovery:
         with pytest.raises(SwarmUnavailableError):
             swarm.client().generate([1, 2, 3], 4, strategy=strategy)
         assert len(refused) == MAX_REROUTES
+
+    def test_reply_of_the_wrong_kind_costs_a_ban(self, cfg, oracle64):
+        """s1a and s1b each answer their first ``Step`` with ``Pong``. Each
+        wrong reply bans its server and replaces its stage, as a lost reply
+        would, and the run still gives the oracle's tokens."""
+        swarm = build_sim_swarm(cfg, seed=0)
+        wrong = [_refuse(swarm.servers[sid], Step, times=1, answer=Pong())
+                 for sid in ("s1a", "s1b")]
+        res = swarm.client().generate([5, 6, 7], 64)
+        assert res.tokens == oracle64
+        assert [len(w) for w in wrong] == [1, 1]
+        assert res.counters.recoveries == 2
 
     @pytest.mark.parametrize("code", ["expired", "capacity", "not_serving"])
     def test_refused_decode_step_maps_like_any_stage_rpc(self, cfg, oracle64, code):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from swarmpipe.errors import ConnectionFailed, MessageDropped, Unreachable
-from swarmpipe.netsim import (DROP_DRAWS, ChurnSchedule, HandlerContext, NetProfile,
-                              SimNetwork, VirtualClock)
+from swarmpipe.netsim import DROP_DRAWS, ChurnSchedule, NetProfile, SimNetwork, VirtualClock
 from swarmpipe.wire import Announce, Ping, Pong, WireMessage, framed_nbytes
 
 
@@ -15,13 +14,13 @@ class _Echo:
     def __init__(self, compute_s: float = 0.0):
         self.compute_s = compute_s
         self.seen = []
-        self.contexts = []
+        self.nets = []
 
-    def handle(self, msg, ctx):
-        self.seen.append((ctx.now, msg.kind.name))
-        self.contexts.append(ctx)
+    def handle(self, msg, net):
+        self.seen.append((net.clock.now, msg.kind.name))
+        self.nets.append(net)
         if self.compute_s:
-            ctx.consume(self.compute_s)
+            net.clock.charge(self.compute_s)
         return WireMessage(Pong())
 
 
@@ -138,7 +137,7 @@ class TestRpc:
 
     def test_every_handler_gets_the_network_s_one_context(self):
         """Whoever sends, and whether by ``rpc`` or ``post``, every handler
-        is handed the network's one ``HandlerContext``."""
+        is handed the network itself."""
         net, echo = _net()
         other = _Echo()
         net.register("srv2", other)
@@ -146,9 +145,8 @@ class TestRpc:
             net.rpc(src, dst, WireMessage(Ping()))
         net.post("c2", "srv2", WireMessage(Ping()))
         net.clock.advance(1.0)
-        ctxs = echo.contexts + other.contexts
-        assert len(ctxs) == 4 and all(c is ctxs[0] for c in ctxs)
-        assert isinstance(ctxs[0], HandlerContext) and ctxs[0].net is net
+        nets = echo.nets + other.nets
+        assert len(nets) == 4 and all(n is net for n in nets)
 
     def test_timers_fire_during_compute(self):
         net = SimNetwork(seed=0)
@@ -186,10 +184,10 @@ class TestDropStream:
 
     def test_matches_scalar_draws(self):
         """Sends draw the scalar stream's values in order, past two refills.
-        With look-ahead ``k`` > 0 the run-ahead's reads go in between: peek
-        ``k`` values (the rest of the current chunk, then further chunks),
-        take ``k`` or half of them, and every later draw stays where the
-        scalar stream has it."""
+        With look-ahead ``k`` > 0 the run-ahead's reads go in between: read
+        ``k`` values ahead (the rest of the current chunk, then further
+        chunks), take ``k`` or half of them, and every later draw stays where
+        the scalar stream has it."""
         p, seed = 0.5, 11
         for k in (0, 1, 7, DROP_DRAWS - 1, DROP_DRAWS, DROP_DRAWS + 3):
             net, _ = _net(p=p, seed=seed)
@@ -198,11 +196,10 @@ class TestDropStream:
             got, want = [], []
             for i in range(3 * DROP_DRAWS):      # at least 1.5 draws a send
                 if k and i % 3 == 0:
-                    ahead = stream.peek()
-                    while len(ahead) < k:
-                        ahead += stream.more()
-                    assert stream.peek()[:k] == ahead[:k]     # peeking took nothing
-                    use = k if i % 2 else k // 2               # some peeked values stay
+                    ahead = list(stream.ahead(k))
+                    assert len(ahead) >= k
+                    assert stream.ahead(k)[:k] == ahead[:k]   # reading ahead took nothing
+                    use = k if i % 2 else k // 2               # some values read ahead stay
                     assert ahead[:use] == [draw() for _ in range(use)]
                     stream.skip(use)
                 got.append(self._send(net, i, "srv"))
@@ -299,7 +296,7 @@ class TestDeterminism:
                 return super().kind
 
         class Replier:
-            def handle(self, msg, ctx):
+            def handle(self, msg, net):
                 return Counted(Pong())
 
         net = SimNetwork(seed=0)

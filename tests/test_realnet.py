@@ -308,6 +308,36 @@ def test_half_sent_frame_does_not_stall_the_node(tcp_swarm):
         assert isinstance(reply.payload, Pong) and reply.session_id == 5
 
 
+def test_reply_with_a_broken_checksum_fails_the_connection():
+    """A raw peer answers a PING with a PONG whose last checksum byte is
+    flipped. The caller gets ``ConnectionFailed``, as for a lost
+    connection, and the connection is closed, not pooled."""
+    net = RealNetwork(timeout_s=2.0)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(2.0)
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(2.0)
+                frame = bytearray(encode_frame(WireMessage(Pong(), _recv_frame(conn).session_id)))
+                frame[-1] ^= 0xFF
+                conn.sendall(frame)
+                conn.recv(1)    # returns once the client closes its end
+
+        peer = threading.Thread(target=answer, daemon=True)
+        peer.start()
+        net._addrs["raw"] = listener.getsockname()
+        try:
+            with pytest.raises(ConnectionFailed):
+                net.rpc("cli", "raw", WireMessage(Ping(), 3))
+            assert not net._idle.get("raw")
+        finally:
+            peer.join(5.0)
+            net.shutdown()
+    assert not peer.is_alive()
+
+
 def test_shutdown_stops_every_thread():
     """Announce timers stop re-arming and listeners leave ``accept``: after
     shutdown the process has the threads it had before the swarm."""

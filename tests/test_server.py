@@ -55,7 +55,7 @@ class TestSessions:
                 c.append(kn, vn)
             assert np.abs(res.payload.blob.array() - x[0]).max() < 1e-5
         assert srv.sessions[1].positions == 5
-        assert srv.engine.cache_length(srv.sessions[1].caches) == 5
+        assert all(c.length == 5 for c in srv.sessions[1].caches)
 
     def test_open_outside_interval_not_serving(self, sim, cfg):
         net, board = sim
@@ -327,7 +327,7 @@ class TestMisshapedActivations:
         _rpc(net, srv, OpenSession(0, 4))
         res = _rpc(net, srv, Step(0, HiddenBlob.shape_only(2, 64), 1, 1))
         assert isinstance(res.payload, Error) and res.payload.code == "protocol"
-        assert srv.sessions[1].caches.length == 0
+        assert srv.sessions[1].positions == 0
 
 
 class TestInjection:
