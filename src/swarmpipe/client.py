@@ -51,6 +51,11 @@ MAX_PASS_RETRIES = 50      # fine-tune passes tried before giving up
 # the reply each stage request expects (see ``SwarmClient._call_stage``)
 _REPLY = {OpenSession: Pong, Reorder: Pong, Step: StepResult, Restore: StepResult,
           Forward: StepResult, Backward: StepResult}
+# the rows of the ``StepResult`` blob a request declares; its columns are hidden_dim
+_REPLY_ROWS = {Step: lambda p: p.width * p.n_new,
+               Restore: lambda p: p.width * p.t if p.want_outputs else 0,
+               Forward: lambda p: p.batch * p.tokens,
+               Backward: lambda p: p.batch * p.tokens}
 
 
 class Strategy(enum.Enum):
@@ -223,7 +228,9 @@ class SwarmClient:
         ``capacity`` a ``CapacityError``; ``expired``, ``desync`` and
         ``no_record`` (a live server lost the state: rebuild it or repeat the
         pass there) a ``_StageFailure`` without a ban; any other code a
-        banning one. A reply of any other type is a banning failure too."""
+        banning one. A reply of any other type, or a ``StepResult`` whose
+        blob is not the shape ``_REPLY_ROWS`` declares, is a banning failure
+        too, raised before the caller books anything of the reply."""
         try:
             reply = self.net.rpc(self.name, server_id, WireMessage(payload, session_id))
         except (MessageDropped, ConnectionFailed) as e:
@@ -231,6 +238,11 @@ class SwarmClient:
                                 dropped=isinstance(e, MessageDropped))
         res = reply.payload
         if isinstance(res, _REPLY[type(payload)]):
+            if isinstance(res, StepResult):
+                rows, cols = _REPLY_ROWS[type(payload)](payload), self.config.hidden_dim
+                if (res.blob.rows, res.blob.cols) != (rows, cols):
+                    raise _StageFailure(server_id, ban=True, reason=(
+                        f"answered {res.blob.rows}x{res.blob.cols}, expected {rows}x{cols}"))
             return res
         if isinstance(res, Error):
             if res.code == "capacity":

@@ -38,7 +38,7 @@ stream (same chunks, values and order), adds each leg's time, each stage's
 charge and the client's per-round charge to ``now`` one by one in the order
 and grouping ``rpc`` uses, and books what those legs would have booked: link
 stats, the servers' sessions and counts. It stops before a drop, a lapsed
-session, a message a server's per-message rule acts on, and any clock
+session, a message a server's crash hook acts on, and any clock
 advance that would reach the next agenda entry, the deadline or the end of
 an endpoint's online interval; ``rpc`` serves that step. So every rule fires
 at the same message and virtual time either way.

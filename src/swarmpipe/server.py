@@ -23,8 +23,12 @@ match too.
 A ``Step`` is refused by the rules in ``_step_refusal``, written once. On the
 shape-only engine ``step_lease`` and ``book_steps`` let the simulator book a
 run of single-row Steps in bulk (``SimNetwork.run_ahead``): the lease checks
-the run's first Step by those rules and bounds the run before the next
-message a per-message rule of ``handle`` acts on.
+the run's first Step by those rules and bounds the run by ``max_seq_len`` and
+the crash hook, the one per-message rule of ``handle``.
+
+Each store is bounded where it grows: ``_open`` forgets abandoned sessions,
+at most once per session TTL, and ``_forward`` drops the oldest entry of
+``replay`` and ``forward_records`` past their caps.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .wire import (Announce, Backward, Close, Error, Forward, HiddenBlob,
                    WireMessage, fnv1a64)  # noqa: F401  (fnv1a64: tracers patch it here by name)
 
 SESSION_TTL_S = 300.0
+REPLAY_CAP = 4096           # training replies kept for resends, one per session
+FORWARD_RECORDS_CAP = 1024  # training forwards kept for their backward
 BATCH_S_PER_ROW = 0.0005    # virtual seconds per block per row of a batched pass
 REBALANCE_PERIOD_S = 60.0   # virtual seconds between a server's rebalance checks
 
@@ -213,6 +219,7 @@ class BlockServer:
         # session -> ((req_id, start, end), reply)
         self.replay: dict[int, tuple[tuple[int, int, int], WireMessage]] = {}
         self.handled = 0
+        self._swept_at = 0.0        # clock time of _open's last sweep of stale sessions
         self.block_moves = 0
         self._timers_started = False
         # (start, end) -> the ANNOUNCE of that interval
@@ -287,8 +294,6 @@ class BlockServer:
         self.handled += 1
         if self.cfg.crash_after_messages is not None and self.handled > self.cfg.crash_after_messages:
             raise SimulatedCrash(self.server_id)
-        if self.handled % 256 == 0:
-            self._purge_stale()
         route = self._ROUTES.get(type(msg.payload))
         if route is None:
             return WireMessage(Error("protocol", f"unsupported kind {msg.kind.name}"))
@@ -302,20 +307,6 @@ class BlockServer:
             del self.sessions[sid]
             return None
         return s
-
-    def _purge_stale(self) -> None:
-        """Abandoned sessions and replay entries age out; bounds memory under
-        restart-heavy workloads."""
-        now = self.net.clock.now
-        for sid in [k for k, s in self.sessions.items()
-                    if now - s.last_activity > self.cfg.session_ttl_s]:
-            del self.sessions[sid]
-        if len(self.replay) > 4096:
-            for key in list(self.replay)[:len(self.replay) - 4096]:
-                del self.replay[key]
-        if len(self.forward_records) > 1024:
-            for key in list(self.forward_records)[:len(self.forward_records) - 1024]:
-                del self.forward_records[key]
 
     def _not_serving(self, start: int, end: int) -> WireMessage | None:
         """The refusal for blocks [start, end) this server does not hold."""
@@ -344,10 +335,14 @@ class BlockServer:
         refusal = self._not_serving(p.start, p.end)
         if refusal is not None:
             return refusal
+        now, ttl = self.net.clock.now, self.cfg.session_ttl_s
+        if now - self._swept_at > ttl:      # forget abandoned sessions, once per TTL
+            self._swept_at = now
+            for k in [k for k, s in self.sessions.items() if now - s.last_activity > ttl]:
+                del self.sessions[k]
         self.sessions[sid] = SessionState(
             p.start, p.end, p.width, p.quantized,
-            self.engine.make_caches(p.start, p.end, p.width), 0,
-            self.net.clock.now)
+            self.engine.make_caches(p.start, p.end, p.width), 0, now)
         return WireMessage(Pong())
 
     def _step_refusal(self, s: SessionState | None, p: Step) -> WireMessage | None:
@@ -386,9 +381,9 @@ class BlockServer:
     def step_lease(self, sid: int, p: Step):
         """A lease on a run of single-position Steps like ``p`` to session
         ``sid``, each at the next position: (session, reply, seconds each
-        step charges, session TTL, most steps no rule of ``handle`` or
-        ``_step`` interrupts). None when the next Step must go through
-        ``handle``: an engine that computes, a refusal, or a rule due at it.
+        step charges, session TTL, most steps before ``max_seq_len`` or the
+        crash hook). None when the next Step must go through ``handle``: an
+        engine that computes, a refusal, or the crash due at it.
         ``_step`` refuses none of the run's later steps, since each moves the
         step's offset and the session's positions together; the caller
         checks the TTL at each step's arrival."""
@@ -396,8 +391,8 @@ class BlockServer:
         if (p.n_new != 1 or not isinstance(self.engine, TimedServerEngine)
                 or self._step_refusal(s, p) is not None):
             return None
-        # handle purges at every 256th message and crashes past crash_after_messages
-        most = min(255 - self.handled % 256, self.engine.config.max_seq_len - s.positions)
+        # handle crashes past crash_after_messages
+        most = self.engine.config.max_seq_len - s.positions
         if self.cfg.crash_after_messages is not None:
             most = min(most, self.cfg.crash_after_messages - self.handled)
         if most < 1:
@@ -470,8 +465,12 @@ class BlockServer:
             # one outstanding training pass per client session
             for key in [k for k in self.forward_records if k[0] == sid and k[1] != p.req_id]:
                 del self.forward_records[key]
+            while len(self.forward_records) > FORWARD_RECORDS_CAP:
+                del self.forward_records[next(iter(self.forward_records))]
         reply = WireMessage(StepResult(out))
         self.replay[sid] = (request, reply)
+        while len(self.replay) > REPLAY_CAP:
+            del self.replay[next(iter(self.replay))]
         return reply
 
     def _backward(self, sid: int, p: Backward) -> WireMessage:

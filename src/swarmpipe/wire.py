@@ -45,6 +45,7 @@ HEADER_LEN = _HEADER.size
 TRAILER_LEN = 8
 NO_REPLY = 0x80      # kind-byte flag: the sender reads no reply to this frame
 FRAME_OVERHEAD = HEADER_LEN + TRAILER_LEN
+MAX_FRAME_LEN = 1 << 24   # 16 MiB: longest frame a receiver reads (docs/wire.md)
 
 
 def fnv1a64(data: bytes) -> int:
@@ -395,10 +396,13 @@ def framed_nbytes(msg: WireMessage) -> int:
 
 def frame_len(head: bytes) -> int:
     """The length of the whole frame whose first ``HEADER_LEN`` bytes are
-    ``head``; ProtocolError when they do not start with the magic."""
+    ``head``; ProtocolError when they do not start with the magic or claim
+    a frame longer than ``MAX_FRAME_LEN``."""
     magic, _, _, plen = _HEADER.unpack_from(head)
     if magic != MAGIC:
         raise ProtocolError("bad magic")
+    if plen > MAX_FRAME_LEN - FRAME_OVERHEAD:
+        raise ProtocolError(f"{plen}-byte payload exceeds the {MAX_FRAME_LEN}-byte frame cap")
     return HEADER_LEN + plen + TRAILER_LEN
 
 
@@ -419,15 +423,14 @@ def encode_frame(msg: WireMessage, reply: bool = True) -> bytes:
 def decode_frame(buf: bytes) -> tuple[WireMessage, int]:
     """Decode one frame; returns (message, bytes consumed). The ``NO_REPLY``
     bit is ignored here: ``wants_reply`` reads it. Every malformed frame
-    raises ProtocolError: bad magic, a checksum mismatch, an unknown kind, a
-    payload that does not parse as its kind, and a payload longer or shorter
-    than its kind's encoding of what it decodes to."""
+    raises ProtocolError: bad magic, a length over ``MAX_FRAME_LEN``, a
+    checksum mismatch, an unknown kind, a payload that does not parse as its
+    kind, and a payload longer or shorter than its kind's encoding of what it
+    decodes to."""
     if len(buf) < HEADER_LEN:
         raise ProtocolError("short frame header")
-    magic, kind, session_id, plen = _HEADER.unpack_from(buf)
-    if magic != MAGIC:
-        raise ProtocolError("bad magic")
-    end = HEADER_LEN + plen
+    end = frame_len(buf) - TRAILER_LEN
+    _, kind, session_id, plen = _HEADER.unpack_from(buf)
     if len(buf) < end + TRAILER_LEN:
         raise ProtocolError("truncated frame")
     body = buf[HEADER_LEN:end]

@@ -13,7 +13,8 @@ from swarmpipe.model import ModelConfig, init_model, reference_generate
 from swarmpipe.netsim import ChurnSchedule, NetProfile
 from swarmpipe.router import Hop
 from swarmpipe.swarm import build_sim_swarm, build_swarm_from_config
-from swarmpipe.wire import Error, Forward, HiddenBlob, OpenSession, Pong, Step, WireMessage
+from swarmpipe.wire import (Error, Forward, HiddenBlob, OpenSession, Pong, Step, StepResult,
+                            WireMessage)
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +243,20 @@ class TestRecovery:
         assert [len(w) for w in wrong] == [1, 1]
         assert res.counters.recoveries == 2
 
+    def test_reply_of_the_wrong_shape_costs_a_ban(self, cfg, oracle64):
+        """s1a and s1b each answer their first ``Step`` with a 7-row
+        ``StepResult``. The client refuses it before booking the step, bans
+        the server and repeats the step on a replacement at the same
+        position, and the run still gives the oracle's tokens."""
+        swarm = build_sim_swarm(cfg, seed=0)
+        blob = HiddenBlob.from_array(np.zeros((7, cfg.hidden_dim), np.float32))
+        wrong = [_refuse(swarm.servers[sid], Step, times=1, answer=StepResult(blob))
+                 for sid in ("s1a", "s1b")]
+        res = swarm.client().generate([5, 6, 7], 64)
+        assert res.tokens == oracle64
+        assert [len(w) for w in wrong] == [1, 1]
+        assert res.counters.recoveries == 2
+
     @pytest.mark.parametrize("code", ["expired", "capacity", "not_serving"])
     def test_refused_decode_step_maps_like_any_stage_rpc(self, cfg, oracle64, code):
         """s2a refuses the first decode-loop ``Step`` it gets. ``expired``
@@ -367,7 +382,7 @@ _ENGINE_CASES = {
                       server_overrides={"s1b": {"compute_tokens_per_s": 1000.0}},
                       profile=NetProfile(failure_prob=1e-3)),
                  dict(strategy=Strategy.DUAL_CACHE), 96),
-    # abandoned sessions lapse after 2 s; each server's 256th message purges them
+    # abandoned sessions lapse after 2 s; a server's OpenSession forgets them, once per 2 s
     "purge": (dict(_ONE_STAGE, profile=NetProfile(failure_prob=1e-2),
                    server_overrides={f"s{i}a": {"session_ttl_s": 2.0} for i in range(4)}),
               dict(strategy=Strategy.DUAL_CACHE), 300),

@@ -163,6 +163,21 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="^bad magic$"):
             decode_frame(swp1)
 
+    def test_frame_cap_admits_a_full_restore_and_refuses_one_byte_more(self):
+        """A raw restore of ``max_seq_len`` rows at beam width 4 fits under
+        ``MAX_FRAME_LEN``; a header claiming one byte more than the cap is
+        refused by ``frame_len`` and ``decode_frame`` alike."""
+        cfg = ModelConfig()
+        blob = HiddenBlob.shape_only(4 * cfg.max_seq_len, cfg.hidden_dim)
+        assert framed_nbytes(WireMessage(Restore(cfg.max_seq_len, blob, 4))) < wire.MAX_FRAME_LEN
+        at_cap = wire.MAX_FRAME_LEN - wire.FRAME_OVERHEAD
+        head = struct.pack("<4sB16sQ", MAGIC, Kind.PING, bytes(16), at_cap)
+        assert wire.frame_len(head) == wire.MAX_FRAME_LEN
+        over = struct.pack("<4sB16sQ", MAGIC, Kind.PING, bytes(16), at_cap + 1)
+        for read in (wire.frame_len, decode_frame):
+            with pytest.raises(ProtocolError, match="frame cap"):
+                read(over)
+
     def test_frame_bytes_of_every_kind_are_pinned(self):
         """Frames of every kind, built from arithmetic arrays, hash to pinned
         digests: a codec entry that moves, swaps or drops a field changes its

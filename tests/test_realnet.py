@@ -17,8 +17,9 @@ from swarmpipe.model import ModelConfig, init_model, reference_generate
 from swarmpipe.realnet import DirectoryClient, RealNetwork, _recv_frame
 from swarmpipe.server import BlockServer, RealServerEngine, ServerCfg
 from swarmpipe.swarm import stage_intervals
-from swarmpipe.wire import (MAGIC, Close, Error, HiddenBlob, Kind, OpenSession, Ping, Pong,
-                            Step, WireMessage, encode_frame, fnv1a64, framed_nbytes)
+from swarmpipe.wire import (FRAME_OVERHEAD, MAGIC, MAX_FRAME_LEN, Close, Error, HiddenBlob, Kind,
+                            OpenSession, Ping, Pong, Step, WireMessage, encode_frame, fnv1a64,
+                            framed_nbytes)
 
 
 @pytest.fixture()
@@ -147,6 +148,20 @@ def test_bad_magic_header_closes_the_connection_at_once(tcp_swarm):
     cfg, net = tcp_swarm
     head = struct.pack("<4sB16sQ", b"XXXX", Kind.PING, bytes(16), 1 << 40)
     assert len(head) == 29
+    with socket.create_connection(net._addrs["s0"], timeout=2.0) as conn:
+        conn.sendall(head)
+        conn.settimeout(1.0)
+        assert conn.recv(64) == b""
+    assert net.ping("cli", "s0") > 0
+
+
+def test_header_over_the_frame_cap_closes_the_connection_at_once(tcp_swarm):
+    """A header that claims a frame one byte longer than ``MAX_FRAME_LEN``
+    is refused as soon as it arrives, before any of the claimed bytes; the
+    node keeps serving."""
+    cfg, net = tcp_swarm
+    plen = MAX_FRAME_LEN - FRAME_OVERHEAD + 1
+    head = struct.pack("<4sB16sQ", MAGIC, Kind.PING, bytes(16), plen)
     with socket.create_connection(net._addrs["s0"], timeout=2.0) as conn:
         conn.sendall(head)
         conn.settimeout(1.0)

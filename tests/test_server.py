@@ -8,8 +8,8 @@ from swarmpipe.errors import ConnectionFailed
 from swarmpipe.model import (KVCache, ModelConfig, block_backward,
                              block_forward_batched, init_model, params_hash)
 from swarmpipe.netsim import NetProfile, SimNetwork
-from swarmpipe.server import (BlockServer, RealServerEngine, ServerCfg,
-                              TimedServerEngine, _micro_batches)
+from swarmpipe.server import (FORWARD_RECORDS_CAP, REPLAY_CAP, BlockServer, RealServerEngine,
+                              ServerCfg, TimedServerEngine, _micro_batches)
 from swarmpipe.wire import (Backward, Close, Error, Forward, HiddenBlob,
                             OpenSession, Pong, Reorder, Restore, Step, StepResult,
                             WireMessage)
@@ -328,6 +328,49 @@ class TestMisshapedActivations:
         res = _rpc(net, srv, Step(0, HiddenBlob.shape_only(2, 64), 1, 1))
         assert isinstance(res.payload, Error) and res.payload.code == "protocol"
         assert srv.sessions[1].positions == 0
+
+
+class TestBoundedState:
+    """Each store is bounded where it grows, not by a count of messages."""
+
+    def test_lease_runs_past_every_256th_message(self, sim, cfg):
+        net, board = sim
+        srv = _server(net, board, cfg, engine=TimedServerEngine(cfg))
+        _rpc(net, srv, OpenSession(0, 4))
+        srv.handled = 255
+        lease = srv.step_lease(1, Step(0, HiddenBlob.shape_only(1, 64), 1, 1))
+        assert lease is not None and lease[-1] == cfg.max_seq_len
+
+    def test_open_sweeps_stale_sessions_once_per_ttl(self, sim, cfg):
+        """With a 10 s TTL: the open at 11 s sweeps (session 1 is stale,
+        session 2 is not yet); the open at 16 s is under a TTL after that
+        sweep and leaves the now-stale session 2 in place; the open at 22 s
+        sweeps again, drops session 2 and keeps session 3, which stepped at
+        17 s, and session 4."""
+        net, board = sim
+        srv = _server(net, board, cfg, engine=TimedServerEngine(cfg), session_ttl_s=10.0)
+        for sid, at in ((1, 0.0), (2, 5.0), (3, 11.0), (4, 16.0)):
+            net.clock.advance_to(at)
+            _rpc(net, srv, OpenSession(0, 4), sid=sid)
+        assert set(srv.sessions) == {2, 3, 4}
+        net.clock.advance_to(17.0)
+        assert isinstance(_rpc(net, srv, Step(0, HiddenBlob.shape_only(1, 64), 1, 1),
+                               sid=3).payload, StepResult)
+        net.clock.advance_to(22.0)
+        _rpc(net, srv, OpenSession(0, 4), sid=5)
+        assert set(srv.sessions) == {3, 4, 5}
+
+    @pytest.mark.parametrize("record", [False, True], ids=["replay", "forward_records"])
+    def test_training_stores_drop_the_oldest_past_their_cap(self, sim, cfg, record):
+        net, board = sim
+        srv = _server(net, board, cfg, engine=TimedServerEngine(cfg))
+        store, cap = ((srv.forward_records, FORWARD_RECORDS_CAP) if record
+                      else (srv.replay, REPLAY_CAP))
+        blob = HiddenBlob.shape_only(1, 64)
+        for sid in range(cap + 5):
+            srv.handle(WireMessage(Forward(1, blob, 1, 1, 0, 4, record=record), sid), net)
+            assert len(store) == min(sid + 1, cap)
+        assert [k if isinstance(k, int) else k[0] for k in store] == list(range(5, cap + 5))
 
 
 class TestInjection:
