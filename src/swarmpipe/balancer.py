@@ -37,10 +37,20 @@ def measure_throughput(net_tokens_per_s: float, compute_tokens_per_s: float) -> 
 def choose_start(n_blocks: int, capacity: int, loads: list[float]) -> int:
     """Best start for a capacity-sized window over the per-block loads.
 
-    Compares sorted window load vectors lexicographically and returns the
-    leftmost start among minimums. A sorted window begins with its least
+    Returns the leftmost start among the windows whose sorted load vector
+    is lexicographically smallest. A sorted window begins with its least
     load, so when the global least load sits at one block only, only the
     windows covering that block can win and no other start is scanned.
+
+    Two equal-size multisets with a common part compare, as sorted
+    vectors, the way their non-shared parts do. Window ``W_s`` is
+    ``W_{s-1}`` less ``loads[s-1]`` plus ``loads[s+capacity-1]``, so
+    ``W_s < W_{s-1}`` exactly when the gained load is less than the
+    dropped one. The scan keeps ``W_{s-1} >= W_best``; a window that does
+    not beat its left neighbour therefore cannot win and is skipped
+    without a sort. One that does beats ``W_best`` outright when
+    ``best == s-1``, and otherwise is compared with it by the loads that
+    only one of the two windows holds. Only a strict win moves ``best``.
     """
     if not (1 <= capacity <= n_blocks):
         raise ConfigurationError(f"capacity {capacity} not in [1, {n_blocks}]")
@@ -52,14 +62,18 @@ def choose_start(n_blocks: int, capacity: int, loads: list[float]) -> int:
         lo, hi = max(0, b - capacity + 1), min(b, n_blocks - capacity)
     else:
         lo, hi = 0, n_blocks - capacity
-    best_start = lo
-    best_key = sorted(loads[lo:lo + capacity])
+    best = lo
     for start in range(lo + 1, hi + 1):
-        key = sorted(loads[start:start + capacity])
-        if key < best_key:
-            best_key = key
-            best_start = start
-    return best_start
+        if loads[start + capacity - 1] >= loads[start - 1]:
+            continue
+        if best == start - 1:
+            best = start
+        elif start - best < capacity:
+            if sorted(loads[best + capacity:start + capacity]) < sorted(loads[best:start]):
+                best = start
+        elif sorted(loads[start:start + capacity]) < sorted(loads[best:best + capacity]):
+            best = start
+    return best
 
 
 def bottleneck(spans: Iterable[tuple[int, int, float]], n_blocks: int) -> float:
@@ -177,7 +191,9 @@ def optimal_assignment_bruteforce(servers: list[tuple[int, float]], n_blocks: in
     found by observing that the bottleneck block's coverage is a subset sum
     of server throughputs, then binary-searching the sorted sums with an
     exact interval-cover feasibility test (branch on the leftmost deficient
-    block; only windows covering it can help).
+    block; only windows covering it can help). Only the sums between two
+    bounds are searched: the greedy join's value, which some placement
+    reaches, and the average coverage, which no placement beats.
     """
     n = len(servers)
     if n > MAX_BRUTEFORCE_SERVERS or n_blocks > MAX_BRUTEFORCE_BLOCKS:
@@ -191,8 +207,20 @@ def optimal_assignment_bruteforce(servers: list[tuple[int, float]], n_blocks: in
     sums = {0.0}
     for t in thrs:
         sums |= {s + t for s in sums}
-    candidates = sorted(sums)
+    # the slack covers float summation order and the feasibility tolerance
+    low = greedy_join_assignment(servers, n_blocks)[1]
+    low -= 1e-6 * (1.0 + abs(low))
+    high = sum(c * t for c, t in zip(caps, thrs)) / n_blocks
+    high += 1e-6 * (1.0 + abs(high))
+    return _exact_search(caps, thrs, n_blocks, sorted(v for v in sums if low <= v <= high))
 
+
+def _exact_search(caps: list[int], thrs: list[float], n_blocks: int,
+                  candidates: list[float]) -> tuple[dict[int, tuple[int, int]], float]:
+    """The largest of the sorted candidate targets that some placement covers
+    every block to, and that placement with its leftover servers placed
+    greedily; the greedy placement and 0.0 when no candidate is reached."""
+    n = len(caps)
     window = max(caps)
 
     def feasible(target: float) -> dict[int, tuple[int, int]] | None:

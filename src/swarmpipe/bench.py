@@ -280,9 +280,10 @@ def run_load_balance_experiment(spec: ChurnStudySpec) -> ChurnStudyResult:
         for name, st in states.items():
             throughput[name] = st.throughput_value(thr, spec.n_blocks)
             replaced[name] = st.replaced_blocks
-        # upper-bound estimate: exact search when the active set is small,
-        # otherwise the strongest of 50 seeded greedy join orders, never below
-        # a throughput some strategy actually achieved
+        # upper-bound estimate: exact search when at most 8 servers are active
+        # over at most 14 blocks (never at desk or full scale), otherwise the
+        # strongest of 50 seeded greedy join orders; never below a throughput
+        # some strategy actually achieved
         ub = _upper_bound(online, caps, thr, spec, minute)
         throughput["upper"] = max([ub] + list(throughput.values()))
         replaced["upper"] = 0

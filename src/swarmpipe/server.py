@@ -48,7 +48,7 @@ from .wire import (Announce, Backward, Close, Error, Forward, HiddenBlob,
 
 SESSION_TTL_S = 300.0
 REPLAY_CAP = 4096           # training replies kept for resends, one per session
-FORWARD_RECORDS_CAP = 1024  # training forwards kept for their backward
+FORWARD_RECORDS_CAP = 1024  # sessions whose training forwards are kept for their backward
 BATCH_S_PER_ROW = 0.0005    # virtual seconds per block per row of a batched pass
 REBALANCE_PERIOD_S = 60.0   # virtual seconds between a server's rebalance checks
 
@@ -214,8 +214,8 @@ class BlockServer:
         self.start = cfg.start
         self.end = min(cfg.start + cfg.capacity, self.n_blocks)
         self.sessions: dict[int, SessionState] = {}
-        # (sid, req_id, start, end) -> the recorded inputs of a training FORWARD
-        self.forward_records: dict[tuple[int, int, int, int], list] = {}
+        # session -> (req_id, {(start, end): the recorded inputs of a training FORWARD})
+        self.forward_records: dict[int, tuple[int, dict[tuple[int, int], list]]] = {}
         # session -> ((req_id, start, end), reply)
         self.replay: dict[int, tuple[tuple[int, int, int], WireMessage]] = {}
         self.handled = 0
@@ -461,12 +461,14 @@ class BlockServer:
         out = self.engine.forward(p.start, p.end, p.blob, p.batch, p.tokens,
                                   MICRO_BATCH_TOKENS, record, p.quantize_reply)
         if p.record:
-            self.forward_records[(sid, p.req_id, p.start, p.end)] = record
             # one outstanding training pass per client session
-            for key in [k for k in self.forward_records if k[0] == sid and k[1] != p.req_id]:
-                del self.forward_records[key]
-            while len(self.forward_records) > FORWARD_RECORDS_CAP:
-                del self.forward_records[next(iter(self.forward_records))]
+            held = self.forward_records.get(sid)
+            if held is None or held[0] != p.req_id:
+                self.forward_records.pop(sid, None)
+                held = self.forward_records[sid] = (p.req_id, {})
+                while len(self.forward_records) > FORWARD_RECORDS_CAP:
+                    del self.forward_records[next(iter(self.forward_records))]
+            held[1][(p.start, p.end)] = record
         reply = WireMessage(StepResult(out))
         self.replay[sid] = (request, reply)
         while len(self.replay) > REPLAY_CAP:
@@ -478,7 +480,9 @@ class BlockServer:
         refusal = self._not_serving(p.start, p.end) or self._misshaped(p.blob, rows)
         if refusal is not None:
             return refusal
-        record = self.forward_records.get((sid, p.req_id, p.start, p.end))
+        held = self.forward_records.get(sid)
+        record = (held[1].get((p.start, p.end))
+                  if held is not None and held[0] == p.req_id else None)
         if record is None:
             return WireMessage(Error("no_record",
                                      "no matching forward; repeat the pass"))

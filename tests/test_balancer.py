@@ -1,6 +1,7 @@
 """Placement rule, rebalancing cascade, and the exact assignment oracle."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -29,7 +30,77 @@ class TestMeasureThroughput:
             measure_throughput(0, 5)
 
 
+def _choose_start_reference(n_blocks, capacity, loads, wins=None):
+    """The sorted-window scan: sort every candidate window and keep the
+    first smallest. Appends (distance from the previous best, capacity) to
+    ``wins`` for each start that takes the lead."""
+    low = min(loads)
+    if loads.count(low) == 1:
+        b = loads.index(low)
+        lo, hi = max(0, b - capacity + 1), min(b, n_blocks - capacity)
+    else:
+        lo, hi = 0, n_blocks - capacity
+    best_start = lo
+    best_key = sorted(loads[lo:lo + capacity])
+    for start in range(lo + 1, hi + 1):
+        key = sorted(loads[start:start + capacity])
+        if key < best_key:
+            if wins is not None:
+                wins.append((start - best_start, capacity))
+            best_key = key
+            best_start = start
+    return best_start
+
+
+_TIE_POOL = [0.0, -0.0, 1.0, 3.0, 3.0 + 1e-12]
+
+
+def _load_vector(rng, n):
+    """Per-block loads of one of five shapes: uniform floats, a small pool
+    that ties (-0.0 with 0.0, 3.0 with itself but not with 3.0 + 1e-12),
+    strictly decreasing and increasing runs, plateaus, or sawtooths."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return [rng.uniform(0, 100) for _ in range(n)]
+    if kind == 1:
+        return [rng.choice(_TIE_POOL) for _ in range(n)]
+    loads = []
+    if kind == 2:
+        x = rng.uniform(0, 100)
+        while len(loads) < n:
+            step = rng.choice([-1, 1]) * rng.uniform(0.1, 5.0)
+            for _ in range(rng.randint(1, 8)):
+                x += step
+                loads.append(x)
+    elif kind == 3:
+        while len(loads) < n:
+            loads += [rng.choice(_TIE_POOL + [rng.uniform(0, 5)])] * rng.randint(1, 6)
+    else:
+        period, step = rng.randint(2, 7), rng.choice([-1.0, 1.0, 0.5])
+        base = rng.uniform(0, 10)
+        loads = [base + step * ((i + rng.randrange(period)) % period) for i in range(n)]
+    return loads[:n]
+
+
 class TestChooseStart:
+    def test_matches_sorted_window_scan(self):
+        """50,000 seeded instances against the scan that sorts every window,
+        covering leads taken from the window just left of the best (distance
+        1), from one that overlaps it (2 .. capacity-1) and from one that
+        shares no block with it (>= capacity)."""
+        rng = random.Random(23)
+        wins = []
+        for _ in range(50_000):
+            n_blocks = rng.randint(1, 40)
+            capacity = rng.randint(1, n_blocks)
+            loads = _load_vector(rng, n_blocks)
+            want = _choose_start_reference(n_blocks, capacity, loads, wins)
+            assert choose_start(n_blocks, capacity, loads) == want, (capacity, loads)
+        near = sum(d == 1 for d, _ in wins)
+        overlapping = sum(1 < d < cap for d, cap in wins)
+        apart = sum(d >= cap for d, cap in wins)
+        assert min(near, overlapping, apart) >= 1000, (near, overlapping, apart)
+
     def test_weakest_window_wins(self):
         assert choose_start(4, 2, [10, 0, 0, 5]) == 1
 
@@ -248,6 +319,23 @@ class TestBruteForce:
                         cover[b] += t
                 best = max(best, min(cover))
             assert got == pytest.approx(best)
+
+    def test_bounded_search_matches_full_search(self):
+        """Searching only the subset sums between the greedy join's value and
+        the average coverage returns what searching every sum returns."""
+        rng = random.Random(5)
+        for _ in range(2000):
+            n_blocks = rng.randint(1, 9)
+            servers = [(rng.randint(1, n_blocks + 1),
+                        rng.choice([rng.uniform(0, 100), float(rng.randint(1, 4))]))
+                       for _ in range(rng.randint(1, 6))]
+            caps = [min(c, n_blocks) for c, _ in servers]
+            thrs = [t for _, t in servers]
+            sums = {0.0}
+            for t in thrs:
+                sums |= {s + t for s in sums}
+            want = balancer._exact_search(caps, thrs, n_blocks, sorted(sums))
+            assert optimal_assignment_bruteforce(servers, n_blocks) == want, servers
 
     def test_greedy_never_beats_oracle(self):
         rng = np.random.default_rng(1)

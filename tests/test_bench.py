@@ -113,6 +113,15 @@ class TestChurnStudy:
         assert (hashlib.sha256(Path(jsonl).read_bytes()).hexdigest()
                 == "619e57c23b56ed4657aa208015ae1035b19ea1f59996ef07b62cf6d35eab1367")
 
+    def test_two_hour_study_records_pinned(self, tmp_path):
+        """Seed 2 over one 120-minute cycle: another trace and join order
+        than the ``studies`` pin above, at the same desk scale."""
+        result = run_load_balance_experiment(
+            ChurnStudySpec(seed=2, duration_min=120, period_min=120))
+        jsonl, _ = write_records(churn_records(result, 2), str(tmp_path / "churn.jsonl"))
+        assert (hashlib.sha256(Path(jsonl).read_bytes()).hexdigest()
+                == "7c3dd86106bf065d1277e658138da7951b3bb56f520b6ab5789a59f55adbf202")
+
     def test_deterministic(self):
         spec = ChurnStudySpec(seed=5, n_servers=12, n_blocks=8, duration_min=20,
                               period_min=10, mid_active=5, amp_active=3)

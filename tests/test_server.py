@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from swarmpipe import server
 from swarmpipe.directory import DirectoryBoard
 from swarmpipe.errors import ConnectionFailed
 from swarmpipe.model import (KVCache, ModelConfig, block_backward,
@@ -371,6 +372,34 @@ class TestBoundedState:
             srv.handle(WireMessage(Forward(1, blob, 1, 1, 0, 4, record=record), sid), net)
             assert len(store) == min(sid + 1, cap)
         assert [k if isinstance(k, int) else k[0] for k in store] == list(range(5, cap + 5))
+
+    def test_new_training_pass_replaces_the_sessions_records(self, sim, cfg, monkeypatch):
+        """A session keeps the records of its latest req_id only, and that
+        req_id's first recording Forward makes it the newest session, so
+        past the cap the session that recorded longest ago leaves first."""
+        monkeypatch.setattr(server, "FORWARD_RECORDS_CAP", 2)
+        net, board = sim
+        srv = _server(net, board, cfg, engine=TimedServerEngine(cfg))
+        blob = HiddenBlob.shape_only(1, 64)
+
+        def forward(sid, req_id, start, end):
+            srv.handle(WireMessage(Forward(req_id, blob, 1, 1, start, end, record=True),
+                                   sid), net)
+
+        def backward(sid, req_id, start, end):
+            return srv.handle(WireMessage(Backward(req_id, blob, 1, 1, start, end), sid),
+                              net).payload
+
+        forward(1, 1, 0, 4)
+        forward(1, 1, 0, 2)
+        forward(2, 1, 0, 4)
+        assert isinstance(backward(1, 1, 0, 4), StepResult)
+        forward(1, 2, 2, 4)
+        assert backward(1, 1, 0, 4).code == "no_record"
+        assert isinstance(backward(1, 2, 2, 4), StepResult)
+        forward(3, 1, 0, 4)
+        assert list(srv.forward_records) == [1, 3]
+        assert backward(2, 1, 0, 4).code == "no_record"
 
 
 class TestInjection:
