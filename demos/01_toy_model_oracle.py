@@ -14,11 +14,11 @@ blocks, client = init_model(cfg)
 print(f"model: {cfg.n_blocks} blocks, hidden {cfg.hidden_dim}, "
       f"{parameter_count(cfg):,} parameters")
 
-# weights are a pure function of (seed, block, tensor role): rebuild and compare
+# weights are a pure function of (seed, block, tensor role), built once per
+# process: a second init_model hands out the same read-only arrays
 blocks2, _ = init_model(cfg)
-same = all(np.array_equal(a, b) for p, q in zip(blocks, blocks2)
-           for a, b in zip(p.arrays(), q.arrays()))
-print("re-initialized weights bit-identical:", same)
+shared = all(p is q for p, q in zip(blocks, blocks2))
+print("weights shared:", shared, "| read-only:", not blocks[0].wqkv.flags.writeable)
 
 # KV-cache equivalence: stepping one token at a time equals one batched pass
 rng = np.random.default_rng(0)

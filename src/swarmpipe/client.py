@@ -40,8 +40,8 @@ from .errors import (BudgetExhausted, CapacityError, ConfigurationError, Connect
                      MessageDropped, NoRouteError, SwarmUnavailableError)
 from .netsim import SimNetwork
 from .router import Chain, Hop, RoutingGraph, ServerRoute
-from .wire import (Backward, Close, Error, Forward, HiddenBlob, OpenSession, Pong,
-                   Reorder, Restore, Step, StepResult, WireMessage)
+from .wire import (MAX_FRAME_LEN, Backward, Close, Error, Forward, HiddenBlob, OpenSession,
+                   Pong, Reorder, Restore, Step, StepResult, WireMessage, framed_nbytes)
 
 MAX_REROUTES = 10          # routing attempts before a chain counts as unavailable
 REROUTE_BACKOFF_S = 2.0    # virtual seconds a client waits when no chain exists
@@ -333,12 +333,25 @@ class SwarmClient:
                 self._ban_if(f)
         raise SwarmUnavailableError(f"opening a chain failed {MAX_REROUTES} times")
 
-    def _start_run(self, prefix: list[int], n_new: int, deadline_s: float | None):
-        """Argument check shared by every generation entry point."""
+    def _start_run(self, prefix: list[int], n_new: int, deadline_s: float | None,
+                   width: int = 1):
+        """Argument check shared by every generation entry point. A run whose
+        largest stage frame would exceed ``MAX_FRAME_LEN`` is refused before
+        any RPC, on every transport. That frame carries a raw blob of each of
+        the ``width`` slots' whole sequence, the prefix and every generated
+        token but the last, which is never sent: a ``Restore``, or a
+        cache-less ``Forward``, whose fixed fields are the longer, so it is
+        sized as the ``Forward``."""
         if not prefix:
             raise ConfigurationError("prefix must be non-empty")
         if len(prefix) + n_new > self.config.max_seq_len:
             raise CapacityError("prefix + n_new exceeds max_seq_len")
+        t = len(prefix) + n_new - 1
+        blob = HiddenBlob(width * t, self.config.hidden_dim, synthetic=True)
+        largest = framed_nbytes(WireMessage(Forward(0, blob, width, t, 0, 0)))
+        if largest > MAX_FRAME_LEN:
+            raise CapacityError(f"a {largest}-byte stage frame exceeds the "
+                                f"{MAX_FRAME_LEN}-byte frame cap")
         started = self.clock.now
         deadline = started + deadline_s if deadline_s is not None else None
         return started, deadline, RunCounters()
@@ -648,7 +661,7 @@ class SwarmClient:
             raise ConfigurationError("beam search needs n_new >= 1")
         if not isinstance(self.engine, RealClientEngine):
             raise ConfigurationError("beam search needs the real client engine")
-        started, deadline, counters = self._start_run(prefix, n_new, deadline_s)
+        started, deadline, counters = self._start_run(prefix, n_new, deadline_s, k)
         hyps, scores = [list(prefix)], np.zeros(1)
 
         def choose(out):

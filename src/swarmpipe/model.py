@@ -6,6 +6,13 @@ unembedding). Weights are derived from splitmix64 streams keyed by
 (seed, block, tensor role), so two processes that agree on a ModelConfig
 agree bit-for-bit on every weight without exchanging them.
 
+Within one process a config's weights are built once: every swarm, server,
+client and oracle of that config shares one weight set, whose arrays are
+read-only (``writeable = False``), so "treated as immutable" is enforced.
+The memo keeps the ``WEIGHT_MEMO_MAX`` most recently used configs, because
+a long-lived process (a test run, a benchmark sweeping seeds) meets many
+configs, and each holds its weights for as long as it stays in the memo.
+
 Forward compute is float32 end to end. Backward recomputes intermediates
 in float64 from the recorded inputs and returns float32 input gradients;
 block parameters are never touched by any code path here.
@@ -21,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, ProtocolError
+
+WEIGHT_MEMO_MAX = 8   # configs kept built in each of the two weight memos (blocks, embedding)
 
 _LN_EPS = 1e-5
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -90,7 +99,8 @@ class ModelConfig:
 
 @dataclass
 class BlockParams:
-    """Weights of one transformer block. Treated as immutable everywhere.
+    """Weights of one transformer block, shared by every user of its
+    config and read-only (see the module docstring).
 
     The query, key and value projections are stored side by side in one
     [d, 3d] matrix so that a single matmul computes all three; ``wq``,
@@ -129,7 +139,8 @@ class BlockParams:
 
 @dataclass
 class ClientParams:
-    """Client-held parameters: the token embedding (tied unembedding)."""
+    """Client-held parameters: the token embedding (tied unembedding),
+    shared and read-only like the blocks."""
 
     embedding: np.ndarray
 
@@ -177,7 +188,49 @@ class KVCache:
 
 
 def init_model(config: ModelConfig) -> tuple[list[BlockParams], ClientParams]:
-    """Materialize all weights for ``config``. Bit-identical on every call."""
+    """All weights of ``config``: ``init_blocks`` and ``init_client_params``.
+
+    Built once per process per config (bounded by ``WEIGHT_MEMO_MAX``) and
+    read-only; each call returns a fresh list over the shared blocks."""
+    return init_blocks(config), init_client_params(config)
+
+
+def init_blocks(config: ModelConfig) -> list[BlockParams]:
+    """The servers' share of ``init_model``: the blocks alone, shared and
+    read-only, in a fresh list."""
+    return list(_shared_blocks(config))
+
+
+def init_client_params(config: ModelConfig) -> ClientParams:
+    """The client's share of ``init_model``: the embedding alone, shared and
+    read-only, kept apart from the blocks so a process that only makes a
+    client computes only the embedding."""
+    return _shared_client_params(config)
+
+
+def _read_only(params: BlockParams | ClientParams) -> None:
+    for a in vars(params).values():
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=WEIGHT_MEMO_MAX)
+def _shared_blocks(config: ModelConfig) -> tuple[BlockParams, ...]:
+    blocks = tuple(_build_blocks(config))
+    for p in blocks:
+        _read_only(p)
+    return blocks
+
+
+@functools.lru_cache(maxsize=WEIGHT_MEMO_MAX)
+def _shared_client_params(config: ModelConfig) -> ClientParams:
+    client = _build_client_params(config)
+    _read_only(client)
+    return client
+
+
+def _build_blocks(config: ModelConfig) -> list[BlockParams]:
+    """Materialize every block's weights for ``config``, bit-identical on
+    every call; the cold builder behind the memo."""
     d = config.hidden_dim
     scale = 1.0 / np.sqrt(d)
     s = config.seed
@@ -196,11 +249,12 @@ def init_model(config: ModelConfig) -> tuple[list[BlockParams], ClientParams]:
             ln2_g=np.ones(d, np.float32),
             ln2_b=np.zeros(d, np.float32),
         ))
-    return blocks, init_client_params(config)
+    return blocks
 
 
-def init_client_params(config: ModelConfig) -> ClientParams:
-    """The client's share of ``init_model``: the embedding alone, same bits."""
+def _build_client_params(config: ModelConfig) -> ClientParams:
+    """The embedding for ``config``, bit-identical on every call; the cold
+    builder behind the memo."""
     d = config.hidden_dim
     return ClientParams(embedding=_uniform_weights(
         config.seed, config.n_blocks, "embedding", (config.vocab_size, d), 1.0 / np.sqrt(d)))
@@ -234,8 +288,8 @@ def _centre_and_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Python-level bookkeeping or the second mean ``var`` computes.
     """
     d = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / d
-    return xc, (xc * xc).sum(axis=-1, keepdims=True) / d
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    return xc, np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
 
 
 def _ln(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -286,15 +340,17 @@ def block_forward_batched(params: BlockParams, x: np.ndarray,
     k_all = np.concatenate([past_k, k_new], axis=1).transpose(0, 2, 1, 3)  # [B, H, t0+n, hd]
     v_all = np.concatenate([past_v, v_new], axis=1).transpose(0, 2, 1, 3)
 
-    scores = q @ k_all.transpose(0, 1, 3, 2) / _score_scale(hd)             # [B, H, n, t0+n]
+    # scale, causal mask and softmax all run in place on the one score
+    # buffer: the same operations in the same order, so the same bits
+    attn = q @ k_all.transpose(0, 1, 3, 2)                      # [B, H, n, t0+n]
+    np.divide(attn, _score_scale(hd), out=attn)
     if n > 1:
         jj = np.arange(t0 + n)
         ii = np.arange(n)
-        mask = jj[None, :] > (t0 + ii[:, None])
-        scores = np.where(mask, np.float32(-1e30), scores)
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores)
-    attn = w / w.sum(axis=-1, keepdims=True)
+        np.copyto(attn, np.float32(-1e30), where=jj[None, :] > (t0 + ii[:, None]))
+    np.subtract(attn, np.maximum.reduce(attn, axis=-1, keepdims=True), out=attn)
+    np.exp(attn, out=attn)
+    np.divide(attn, np.add.reduce(attn, axis=-1, keepdims=True), out=attn)
     ctx = _merge_heads(attn @ v_all)                             # [B, n, d]
     x1 = x + ctx @ params.wo
 

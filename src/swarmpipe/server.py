@@ -87,7 +87,7 @@ class RealServerEngine:
 
     def __init__(self, config: M.ModelConfig, blocks: list[M.BlockParams] | None = None):
         self.config = config
-        self.blocks = blocks if blocks is not None else M.init_model(config)[0]
+        self.blocks = blocks if blocks is not None else M.init_blocks(config)
 
     def make_caches(self, start: int, end: int, width: int) -> list[M.KVCache]:
         return [M.KVCache.empty(self.config, width) for _ in range(start, end)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .balancer import RebalanceConfig
 from .client import RealClientEngine, SwarmClient, TimedClientEngine
 from .directory import DIRECTORY_ADDR, DirectoryBoard, DirectoryHandler
-from .model import ModelConfig, init_model
+from .model import ModelConfig
 from .netsim import ChurnSchedule, NetProfile, SimNetwork
 from .server import BlockServer, RealServerEngine, ServerCfg, TimedServerEngine
 
@@ -56,7 +56,6 @@ def _build(model: ModelConfig, profile: NetProfile, seed: int, engine: str,
     net = SimNetwork(seed=seed, default_profile=profile)
     board = DirectoryBoard(model.n_blocks, lambda: net.clock.now)
     net.register(DIRECTORY_ADDR, DirectoryHandler(board))
-    shared_blocks = init_model(model)[0] if engine == "real" else None
 
     servers: dict[str, BlockServer] = {}
     for entry in entries:
@@ -64,8 +63,7 @@ def _build(model: ModelConfig, profile: NetProfile, seed: int, engine: str,
         drop_override = entry.pop("drop_override", None)
         balancer = entry.pop("balancer", False)
         cfg = ServerCfg(**entry)
-        eng = (RealServerEngine(model, shared_blocks) if engine == "real"
-               else TimedServerEngine(model))
+        eng = RealServerEngine(model) if engine == "real" else TimedServerEngine(model)
         srv = servers[cfg.server_id] = BlockServer(cfg, eng, net, board)
         net.register(cfg.server_id, srv, churn=churn, drop_override=drop_override)
         srv.start_timers(balancer=balancer)

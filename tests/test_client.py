@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swarmpipe import model as M
-from swarmpipe.client import MAX_REROUTES, Strategy, _Stage
+from swarmpipe.client import MAX_REROUTES, RealClientEngine, Strategy, SwarmClient, _Stage
 from swarmpipe.directory import BAN_COOLDOWN_S
 from swarmpipe.errors import BudgetExhausted, CapacityError, SwarmUnavailableError
 from swarmpipe.model import ModelConfig, init_model, reference_generate
@@ -85,7 +85,9 @@ class TestFailureFree:
         assert res.tokens == oracle64
 
 
-def test_client_builds_only_the_embedding(cfg, monkeypatch):
+def test_client_builds_only_the_embedding(monkeypatch):
+    # a seed no other test uses, so this process has not built its weights yet
+    cfg = ModelConfig(seed=918_273)
     swarm = build_sim_swarm(cfg, seed=0)
     roles, uniform_weights = [], M._uniform_weights
 
@@ -97,6 +99,46 @@ def test_client_builds_only_the_embedding(cfg, monkeypatch):
     client = swarm.client()
     assert roles == ["embedding"]
     assert client.engine.params.embedding.tobytes() == init_model(cfg)[1].embedding.tobytes()
+
+
+class TestFrameCap:
+    """A run whose largest stage frame would exceed ``wire.MAX_FRAME_LEN`` is
+    refused before any RPC, on the simulator as on TCP."""
+
+    CFG = ModelConfig(hidden_dim=1024, max_seq_len=8192)
+
+    def _no_client_traffic(self, swarm, client, links_before):
+        assert dict(swarm.net.links) == links_before
+        assert not any(client.name in pair for pair in swarm.net.links)
+
+    def test_long_run_is_refused_before_any_rpc(self):
+        swarm = build_sim_swarm(self.CFG, engine="timed")
+        links = dict(swarm.net.links)
+        client = swarm.client()
+        with pytest.raises(CapacityError, match="frame cap"):
+            client.generate([5, 6, 7], 5000)
+        self._no_client_traffic(swarm, client, links)
+
+    def test_the_check_counts_only_the_rows_a_run_sends(self):
+        # 4,095 raw rows of 1,024 floats fit under 16 MiB with their framing; 4,096 do not
+        swarm = build_sim_swarm(self.CFG, engine="timed")
+        client = swarm.client()
+        with pytest.raises(CapacityError, match="frame cap"):
+            client.generate([5, 6, 7], 4094)
+        assert client.generate([5, 6, 7], 4093).counters.restarts == 0
+
+    def test_beam_width_counts(self):
+        # 2,047 rows a slot: 8.4 MB for one slot, 33.5 MB for a width-4 beam
+        cfg = ModelConfig(hidden_dim=1024)
+        swarm = build_sim_swarm(cfg, engine="timed")
+        assert swarm.client().generate([5, 6, 7], 2045).counters.restarts == 0
+        links = dict(swarm.net.links)
+        engine = RealClientEngine(cfg, M.ClientParams(np.zeros((cfg.vocab_size, 1024),
+                                                               np.float32)))
+        client = SwarmClient("beam", cfg, swarm.net, swarm.board, engine=engine)
+        with pytest.raises(CapacityError, match="frame cap"):
+            client.beam_generate([5, 6, 7], 2045, 4)
+        self._no_client_traffic(swarm, client, links)
 
 
 

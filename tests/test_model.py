@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmpipe import model as M
 from swarmpipe.errors import CapacityError, ConfigurationError
 from swarmpipe.model import (BlockParams, KVCache, ModelConfig, _ln, _ln_backward,
                              block_backward, block_forward_batched, init_model,
-                             parameter_count, params_hash, reference_beam,
-                             reference_generate)
+                             init_blocks, init_client_params, parameter_count,
+                             params_hash, reference_beam, reference_generate)
+from swarmpipe.swarm import build_sim_swarm
 
 
 def _f64_params(p: BlockParams) -> dict:
@@ -49,8 +51,10 @@ def forward_f64(p: BlockParams, x: np.ndarray, n_heads: int) -> np.ndarray:
 
 class TestInit:
     def test_same_seed_bit_identical(self, default_config):
+        # against the cold builder: the shared weights are determined by the
+        # config, not merely the same objects handed out twice
         a, ca = init_model(default_config)
-        b, cb = init_model(default_config)
+        b, cb = M._build_blocks(default_config), M._build_client_params(default_config)
         for pa, pb in zip(a, b):
             for x, y in zip(pa.arrays(), pb.arrays()):
                 assert np.array_equal(x, y)
@@ -88,6 +92,55 @@ class TestInit:
     def test_invalid_config_rejected(self, kw):
         with pytest.raises(ConfigurationError):
             ModelConfig(**kw)
+
+
+class TestSharedWeights:
+    """A config's weights are built once per process and are read-only."""
+
+    def test_swarms_servers_and_oracle_share_one_weight_set(self, tiny_config):
+        blocks, client = init_model(tiny_config)
+        swarms = [build_sim_swarm(tiny_config, n_stages=1, replicas=1),
+                  build_sim_swarm(tiny_config, n_stages=2)]
+        for swarm in swarms:
+            for srv in swarm.servers.values():
+                for mine, shared in zip(srv.engine.blocks, blocks):
+                    assert mine is shared and mine.wqkv is shared.wqkv
+            assert swarm.client().engine.params.embedding is client.embedding
+        again = init_model(tiny_config)[0]
+        assert again is not blocks and all(x is y for x, y in zip(again, blocks))
+
+    def test_every_weight_and_the_embedding_are_read_only(self, default_config):
+        blocks, client = init_model(default_config)
+        arrays = [a for p in blocks for a in (*vars(p).values(), *p.arrays())]
+        for a in arrays + [client.embedding]:
+            with pytest.raises(ValueError):
+                a[...] = 0
+            with pytest.raises(ValueError):
+                np.add(a, 1, out=a)
+
+    @pytest.mark.parametrize("kw", [dict(), dict(seed=3, n_blocks=3),
+                                    dict(hidden_dim=12, n_heads=3, vocab_size=40, seed=7)])
+    def test_shared_bits_equal_a_cold_build(self, kw):
+        cfg = ModelConfig(**kw)
+        blocks, client = init_model(cfg)
+        assert params_hash(blocks) == params_hash(M._build_blocks(cfg))
+        assert (client.embedding.tobytes()
+                == M._build_client_params(cfg).embedding.tobytes())
+
+    def test_memo_holds_at_most_its_bound(self):
+        def cfg(i):
+            return ModelConfig(n_blocks=1, hidden_dim=4, n_heads=1, vocab_size=2,
+                               seed=640_000 + i)
+        first = init_model(cfg(0))
+        for i in range(1, M.WEIGHT_MEMO_MAX + 1):
+            init_model(cfg(i))
+        for memo in (M._shared_blocks, M._shared_client_params):
+            assert memo.cache_info().currsize == M.WEIGHT_MEMO_MAX
+        # the least recently used config left and is built anew; a recent one stays
+        assert init_blocks(cfg(0))[0] is not first[0][0]
+        assert init_client_params(cfg(0)) is not first[1]
+        last = cfg(M.WEIGHT_MEMO_MAX)
+        assert init_blocks(last)[0] is init_blocks(last)[0]
 
 
 def _step(p: BlockParams, cache: KVCache, rows: np.ndarray) -> np.ndarray:
