@@ -6,16 +6,27 @@ unembedding). Weights are derived from splitmix64 streams keyed by
 (seed, block, tensor role), so two processes that agree on a ModelConfig
 agree bit-for-bit on every weight without exchanging them.
 
-Within one process a config's weights are built once: every swarm, server,
-client and oracle of that config shares one weight set, whose arrays are
-read-only (``writeable = False``), so "treated as immutable" is enforced.
-The memo keeps the ``WEIGHT_MEMO_MAX`` most recently used configs, because
-a long-lived process (a test run, a benchmark sweeping seeds) meets many
-configs, and each holds its weights for as long as it stays in the memo.
+Within one process a weight set is built once: every swarm, server, client
+and oracle that needs it shares one set, whose arrays are read-only
+(``writeable = False``), so "treated as immutable" is enforced. The memos
+are keyed by what the weights depend on, (n_blocks, hidden_dim, seed) for
+the blocks and those plus vocab_size for the embedding, so configs that
+differ only in ``n_heads`` or ``max_seq_len`` share one set. Each memo keeps
+its ``WEIGHT_MEMO_MAX`` most recently used keys, because a long-lived
+process (a test run, a benchmark sweeping seeds) meets many configs, and
+each key holds its weights for as long as it stays in the memo.
 
 Forward compute is float32 end to end. Backward recomputes intermediates
 in float64 from the recorded inputs and returns float32 input gradients;
 block parameters are never touched by any code path here.
+
+A decode step (one new row through a block) is the common call, and on
+64-float rows numpy's per-call overhead outweighs the arithmetic. So
+``block_forward_batched`` sends a one-row call to a single-row kernel that
+performs the same operations in the same order on the same values, on 1-D
+arrays and numpy scalars instead of ``[1, 1, d]`` arrays: its outputs are
+the general path's to the last bit (``tests/test_model.py`` checks them
+byte for byte).
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigurationError, ProtocolError
 
-WEIGHT_MEMO_MAX = 8   # configs kept built in each of the two weight memos (blocks, embedding)
+WEIGHT_MEMO_MAX = 8   # weight sets kept built in each of the two memos (blocks, embedding)
 
 _LN_EPS = 1e-5
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -183,29 +194,30 @@ class KVCache:
         idx = np.asarray(indices_zero_based, dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= self.width):
             raise ProtocolError("reorder index out of range")
-        self.keys = self.keys[idx].copy()
-        self.values = self.values[idx].copy()
+        self.keys = self.keys[idx]           # advanced indexing: already a copy
+        self.values = self.values[idx]
 
 
 def init_model(config: ModelConfig) -> tuple[list[BlockParams], ClientParams]:
     """All weights of ``config``: ``init_blocks`` and ``init_client_params``.
 
-    Built once per process per config (bounded by ``WEIGHT_MEMO_MAX``) and
-    read-only; each call returns a fresh list over the shared blocks."""
+    Built once per process per weight key (bounded by ``WEIGHT_MEMO_MAX``)
+    and read-only; each call returns a fresh list over the shared blocks."""
     return init_blocks(config), init_client_params(config)
 
 
 def init_blocks(config: ModelConfig) -> list[BlockParams]:
     """The servers' share of ``init_model``: the blocks alone, shared and
     read-only, in a fresh list."""
-    return list(_shared_blocks(config))
+    return list(_shared_blocks(config.n_blocks, config.hidden_dim, config.seed))
 
 
 def init_client_params(config: ModelConfig) -> ClientParams:
     """The client's share of ``init_model``: the embedding alone, shared and
     read-only, kept apart from the blocks so a process that only makes a
     client computes only the embedding."""
-    return _shared_client_params(config)
+    return _shared_client_params(config.n_blocks, config.hidden_dim, config.seed,
+                                 config.vocab_size)
 
 
 def _read_only(params: BlockParams | ClientParams) -> None:
@@ -214,28 +226,28 @@ def _read_only(params: BlockParams | ClientParams) -> None:
 
 
 @functools.lru_cache(maxsize=WEIGHT_MEMO_MAX)
-def _shared_blocks(config: ModelConfig) -> tuple[BlockParams, ...]:
-    blocks = tuple(_build_blocks(config))
+def _shared_blocks(n_blocks: int, hidden_dim: int, seed: int) -> tuple[BlockParams, ...]:
+    blocks = tuple(_build_blocks(n_blocks, hidden_dim, seed))
     for p in blocks:
         _read_only(p)
     return blocks
 
 
 @functools.lru_cache(maxsize=WEIGHT_MEMO_MAX)
-def _shared_client_params(config: ModelConfig) -> ClientParams:
-    client = _build_client_params(config)
+def _shared_client_params(n_blocks: int, hidden_dim: int, seed: int,
+                          vocab_size: int) -> ClientParams:
+    client = _build_client_params(n_blocks, hidden_dim, seed, vocab_size)
     _read_only(client)
     return client
 
 
-def _build_blocks(config: ModelConfig) -> list[BlockParams]:
-    """Materialize every block's weights for ``config``, bit-identical on
-    every call; the cold builder behind the memo."""
-    d = config.hidden_dim
+def _build_blocks(n_blocks: int, d: int, s: int) -> list[BlockParams]:
+    """Materialize every block's weights for ``n_blocks`` blocks of width
+    ``d`` from seed ``s``, bit-identical on every call; the cold builder
+    behind the memo."""
     scale = 1.0 / np.sqrt(d)
-    s = config.seed
     blocks = []
-    for b in range(config.n_blocks):
+    for b in range(n_blocks):
         wqkv = np.empty((d, 3 * d), np.float32)
         for i, role in enumerate(("wq", "wk", "wv")):
             wqkv[:, i * d:(i + 1) * d] = _uniform_weights(s, b, role, (d, d), scale)
@@ -252,12 +264,11 @@ def _build_blocks(config: ModelConfig) -> list[BlockParams]:
     return blocks
 
 
-def _build_client_params(config: ModelConfig) -> ClientParams:
-    """The embedding for ``config``, bit-identical on every call; the cold
-    builder behind the memo."""
-    d = config.hidden_dim
+def _build_client_params(n_blocks: int, d: int, s: int, vocab_size: int) -> ClientParams:
+    """The embedding (its stream is keyed past the last block), bit-identical
+    on every call; the cold builder behind the memo."""
     return ClientParams(embedding=_uniform_weights(
-        config.seed, config.n_blocks, "embedding", (config.vocab_size, d), 1.0 / np.sqrt(d)))
+        s, n_blocks, "embedding", (vocab_size, d), 1.0 / np.sqrt(d)))
 
 
 def params_hash(blocks: list[BlockParams]) -> str:
@@ -297,6 +308,21 @@ def _ln(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return xc / np.sqrt(var + _LN_EPS) * g + b
 
 
+def _ln_row(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_ln`` of one 1-D row, with its mean and variance numpy scalars.
+
+    A reduction over one contiguous row is the same pairwise sum as the
+    ``axis=-1`` reduction of ``_ln``. The divisor and epsilon take the row's
+    own scalar type, as ``_ln``'s Python numbers do against an array, so no
+    Python number meets a numpy scalar: numpy 1.x promotion would widen a
+    float32 scalar to float64 there.
+    """
+    f = x.dtype.type
+    d = f(x.shape[0])
+    xc = x - np.add.reduce(x) / d
+    return xc / np.sqrt(np.add.reduce(xc * xc) / d + f(_LN_EPS)) * g + b
+
+
 def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x * x * x)))
 
@@ -324,9 +350,23 @@ def block_forward_batched(params: BlockParams, x: np.ndarray,
     """Forward new rows through one block with a KV history.
 
     x: [B, n, d] new inputs; past_k/past_v: [B, t0, H, hd].
-    Returns (outputs [B, n, d], k_new [B, n, H, hd], v_new [B, n, H, hd]).
+    Returns (outputs [B, n, d] float32, k_new [B, n, H, hd], v_new [B, n, H, hd]).
     Attention is causal over history + new rows.
+
+    One row (``B * n == 1``, a decode step) goes to ``_block_forward_row``,
+    which gives ``_block_forward_general``'s bits at less per-call overhead;
+    every other call (prefill, beams wider than one) runs the general code.
     """
+    if x.shape[0] * x.shape[1] == 1:
+        return _block_forward_row(params, x, past_k, past_v)
+    return _block_forward_general(params, x, past_k, past_v)
+
+
+def _block_forward_general(params: BlockParams, x: np.ndarray,
+                           past_k: np.ndarray, past_v: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``block_forward_batched`` for any [B, n, d]; the reference the
+    single-row kernel is checked against."""
     bsz, n, d = x.shape
     n_heads = past_k.shape[2]
     hd = d // n_heads
@@ -357,6 +397,38 @@ def block_forward_batched(params: BlockParams, x: np.ndarray,
     h2 = _ln(x1, params.ln2_g, params.ln2_b)
     y = x1 + _gelu(h2 @ params.w1) @ params.w2
     return y.astype(np.float32, copy=False), k_new, v_new
+
+
+def _block_forward_row(params: BlockParams, x: np.ndarray,
+                       past_k: np.ndarray, past_v: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``block_forward_batched`` of one row: x [1, 1, d], past [1, t0, H, hd].
+
+    The general path's operations in its order: a 1-D row @ matrix product
+    is the same vector-matrix BLAS call as a ``[1, 1, d]`` one, the
+    per-head attention products keep their shapes and strides, and the
+    softmax runs the same in-place sequence. No causal mask is needed, as
+    one new row sees the whole history.
+    """
+    d = x.shape[-1]
+    _, _, n_heads, hd = past_k.shape
+    x = x.reshape(d)
+    qkv = _ln_row(x, params.ln1_g, params.ln1_b) @ params.wqkv      # [3d]
+    q = qkv[:d].reshape(n_heads, 1, hd)
+    k_new = qkv[d:2 * d].reshape(1, 1, n_heads, hd)
+    v_new = qkv[2 * d:].reshape(1, 1, n_heads, hd)
+
+    k_all = np.concatenate([past_k[0], k_new[0]]).transpose(1, 2, 0)   # [H, hd, t0+1]
+    v_all = np.concatenate([past_v[0], v_new[0]]).transpose(1, 0, 2)   # [H, t0+1, hd]
+    attn = q @ k_all                                             # [H, 1, t0+1]
+    np.divide(attn, _score_scale(hd), out=attn)
+    np.subtract(attn, np.maximum.reduce(attn, axis=-1, keepdims=True), out=attn)
+    np.exp(attn, out=attn)
+    np.divide(attn, np.add.reduce(attn, axis=-1, keepdims=True), out=attn)
+    x1 = x + (attn @ v_all).reshape(d) @ params.wo              # heads merged in order
+
+    y = x1 + _gelu(_ln_row(x1, params.ln2_g, params.ln2_b) @ params.w1) @ params.w2
+    return y.astype(np.float32, copy=False).reshape(1, 1, d), k_new, v_new
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Toy transformer: determinism, cache equivalence, gradients, oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from swarmpipe.model import (BlockParams, KVCache, ModelConfig, _ln, _ln_backwar
                              block_backward, block_forward_batched, init_model,
                              init_blocks, init_client_params, parameter_count,
                              params_hash, reference_beam, reference_generate)
+from swarmpipe.quantize import dequantize_hidden, quantize_hidden
 from swarmpipe.swarm import build_sim_swarm
 
 
@@ -49,12 +52,18 @@ def forward_f64(p: BlockParams, x: np.ndarray, n_heads: int) -> np.ndarray:
     return x1 + g @ w["w2"]
 
 
+def _cold_build(cfg: ModelConfig) -> tuple[list[BlockParams], M.ClientParams]:
+    """The weights of ``cfg`` from the cold builders, bypassing the memos."""
+    return (M._build_blocks(cfg.n_blocks, cfg.hidden_dim, cfg.seed),
+            M._build_client_params(cfg.n_blocks, cfg.hidden_dim, cfg.seed, cfg.vocab_size))
+
+
 class TestInit:
     def test_same_seed_bit_identical(self, default_config):
         # against the cold builder: the shared weights are determined by the
         # config, not merely the same objects handed out twice
         a, ca = init_model(default_config)
-        b, cb = M._build_blocks(default_config), M._build_client_params(default_config)
+        b, cb = _cold_build(default_config)
         for pa, pb in zip(a, b):
             for x, y in zip(pa.arrays(), pb.arrays()):
                 assert np.array_equal(x, y)
@@ -123,9 +132,9 @@ class TestSharedWeights:
     def test_shared_bits_equal_a_cold_build(self, kw):
         cfg = ModelConfig(**kw)
         blocks, client = init_model(cfg)
-        assert params_hash(blocks) == params_hash(M._build_blocks(cfg))
-        assert (client.embedding.tobytes()
-                == M._build_client_params(cfg).embedding.tobytes())
+        cold_blocks, cold_client = _cold_build(cfg)
+        assert params_hash(blocks) == params_hash(cold_blocks)
+        assert client.embedding.tobytes() == cold_client.embedding.tobytes()
 
     def test_memo_holds_at_most_its_bound(self):
         def cfg(i):
@@ -141,6 +150,19 @@ class TestSharedWeights:
         assert init_client_params(cfg(0)) is not first[1]
         last = cfg(M.WEIGHT_MEMO_MAX)
         assert init_blocks(last)[0] is init_blocks(last)[0]
+
+    def test_configs_differing_in_heads_or_length_share_one_set(self):
+        # a seed no other test uses, so that the first build is a miss
+        base = ModelConfig(seed=650_001)
+        same_weights = [base, dataclasses.replace(base, max_seq_len=4096),
+                        dataclasses.replace(base, n_heads=8)]
+        misses = M._shared_blocks.cache_info().misses
+        blocks = [init_blocks(cfg) for cfg in same_weights]
+        assert M._shared_blocks.cache_info().misses == misses + 1
+        assert all(b[0] is blocks[0][0] for b in blocks)
+        clients = [init_client_params(cfg) for cfg in same_weights]
+        assert all(c is clients[0] for c in clients)
+        assert init_client_params(dataclasses.replace(base, vocab_size=300)) is not clients[0]
 
 
 def _step(p: BlockParams, cache: KVCache, rows: np.ndarray) -> np.ndarray:
@@ -215,6 +237,72 @@ def _ln_backward_mean_var(x, g, dy):
     dxhat = dy * g
     return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                   - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d)
+
+
+def _assert_row_bits(p: BlockParams, x: np.ndarray, keys: np.ndarray, values: np.ndarray) -> None:
+    """``block_forward_batched`` on one row gives the general path's bytes,
+    shapes and dtypes for ``y``, ``k_new`` and ``v_new``."""
+    got = block_forward_batched(p, x, keys, values)
+    want = M._block_forward_general(p, x, keys, values)
+    for g, w in zip(got, want):
+        assert (g.shape, g.dtype) == (w.shape, w.dtype)
+        assert g.tobytes() == w.tobytes()
+    assert got[0].dtype == np.float32
+
+
+class TestSingleRowKernel:
+    """A one-row call runs ``_block_forward_row``, whose outputs are the
+    general path's to the last bit."""
+
+    @pytest.mark.parametrize("d,n_heads", [(64, 4), (64, 1), (96, 8), (8, 2)])
+    def test_bytes_equal_general_path(self, d, n_heads):
+        cfg = ModelConfig(hidden_dim=d, n_heads=n_heads, seed=11)
+        rng = np.random.default_rng(10 * d + n_heads)
+        base = init_blocks(cfg)[1]
+        ln = rng.standard_normal((4, d)).astype(np.float32)
+        params = [base, dataclasses.replace(base, ln1_g=ln[0], ln1_b=ln[1],
+                                            ln2_g=ln[2], ln2_b=ln[3])]
+        for t0 in (0, 1, 100, 300, cfg.max_seq_len - 1):
+            keys, values = rng.standard_normal((2, 1, t0, n_heads, d // n_heads)).astype(np.float32)
+            row = rng.standard_normal((1, 1, d))
+            rows = [(row * scale).astype(np.float32) for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3)]
+            rows.append(dequantize_hidden(quantize_hidden(rows[2].reshape(1, d))).reshape(1, 1, d))
+            rows.append(row)                                   # float64
+            for p in params:
+                for x in rows:
+                    _assert_row_bits(p, x, keys, values)
+
+    def test_bytes_equal_after_restore_prefill_and_beam_gather(self, default_config, rng):
+        p = init_blocks(default_config)[2]
+        d = default_config.hidden_dim
+        restored = KVCache.empty(default_config)
+        _step(p, restored, rng.standard_normal((37, d)).astype(np.float32))
+        _assert_row_bits(p, rng.standard_normal((1, 1, d)).astype(np.float32),
+                         restored.keys, restored.values)
+
+        beam = KVCache.empty(default_config, width=4)
+        for n in (5, 1, 1):
+            _, k_new, v_new = block_forward_batched(
+                p, rng.standard_normal((4, n, d)).astype(np.float32), beam.keys, beam.values)
+            beam.append(k_new, v_new)
+        beam.gather([2])
+        _assert_row_bits(p, rng.standard_normal((1, 1, d)).astype(np.float32),
+                         beam.keys, beam.values)
+
+    def test_every_decode_step_reaches_the_kernel(self, default_config, monkeypatch):
+        shapes = []
+        kernel = M._block_forward_row
+
+        def spy(params, x, past_k, past_v):
+            shapes.append(x.shape)
+            return kernel(params, x, past_k, past_v)
+
+        monkeypatch.setattr(M, "_block_forward_row", spy)
+        reference_generate(default_config, [1, 2, 3], 5)       # a prefill, then 4 decode steps
+        assert shapes == [(1, 1, default_config.hidden_dim)] * (4 * default_config.n_blocks)
+        shapes.clear()
+        reference_beam(default_config, [1, 2], 3, k=4)         # a prefill, then width-4 steps
+        assert shapes == []
 
 
 class TestLayerNorm:
@@ -332,6 +420,17 @@ class TestKVCacheGather:
         cache.gather([0])
         assert cache.width == 1
         assert np.array_equal(cache.values[0], survivor)
+
+    @pytest.mark.parametrize("indices", [[0], [2, 0, 0], [1, 1, 1, 1]])
+    def test_gathered_cache_shares_no_memory_with_the_old(self, default_config, rng, indices):
+        cache = KVCache.empty(default_config, width=3)
+        cache.append(rng.standard_normal((3, 2, 4, 16)).astype(np.float32),
+                     rng.standard_normal((3, 2, 4, 16)).astype(np.float32))
+        old_keys, old_values = cache.keys, cache.values
+        cache.gather(indices)
+        assert not np.shares_memory(cache.keys, old_keys)
+        assert not np.shares_memory(cache.values, old_values)
+        assert not np.shares_memory(cache.keys, cache.values)
 
 
 class TestBeamOracle:
